@@ -80,9 +80,15 @@ def _check_kappa(kappa: int) -> int:
     return kappa
 
 
+def _check_density(density: float) -> float:
+    if not 0.0 <= density <= 1.0:
+        raise ParseError(f"density must be between 0 and 1, got {density}")
+    return density
+
+
 def cmd_gen_f(args) -> int:
     kappa = _check_kappa(args.kappa)
-    f = universe.random_pair_function(kappa, args.density, args.seed)
+    f = universe.random_pair_function(kappa, _check_density(args.density), args.seed)
     _write(args.out, formats.dump_pair_function(f), args.quiet)
     return EXIT_OK
 
@@ -294,6 +300,7 @@ def cmd_fu_sim(args) -> int:
 
 
 def cmd_props(args) -> int:
+    _check_density(args.density)
     f = None
     inputs: dict = {"suite": args.suite}
     if args.f:

@@ -24,12 +24,26 @@ def pair(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def _checked_entry(kappa: int, key: tuple[int, int], val: Iterable[int]) -> tuple[tuple[int, int], frozenset[int]]:
+    """Normalize one ``(pair, value)`` entry, rejecting a pair outside the
+    carrier or a value not below the pair's minimum."""
+    a, b = pair(*key)
+    if b >= kappa:
+        raise OutOfUniverse(f"pair ({a},{b}) exceeds kappa={kappa}")
+    fs = frozenset(int(g) for g in val)
+    if any(g < 0 or g >= a for g in fs):
+        raise ValueError(f"value of pair ({a},{b}) must lie below {a}, got {sorted(fs)}")
+    return (a, b), fs
+
+
 @dataclass(frozen=True, eq=True)
 class PairFunction:
     """Total map from unordered carrier pairs to subsets below their minimum.
 
     ``values`` holds an entry for every pair ``(a, b)`` with ``a < b < kappa``;
-    each value is a subset of ``{0, ..., a-1}``.
+    each value is a subset of ``{0, ..., a-1}``.  :meth:`build` validates every
+    entry, :meth:`updated` only its overrides; :func:`random_pair_function`
+    draws values valid by construction and validates none.
     """
 
     kappa: int
@@ -40,29 +54,18 @@ class PairFunction:
         """Normalize ``entries`` and fill every missing pair with the empty set."""
         if kappa < 1:
             raise ValueError(f"kappa must be at least 1, got {kappa}")
-        values: dict[tuple[int, int], frozenset[int]] = {}
-        for a in range(kappa):
-            for b in range(a + 1, kappa):
-                values[(a, b)] = frozenset()
-        for key, val in (entries or {}).items():
-            a, b = pair(*key)
-            if b >= kappa:
-                raise OutOfUniverse(f"pair ({a},{b}) exceeds kappa={kappa}")
-            fs = frozenset(int(g) for g in val)
-            if any(g < 0 or g >= a for g in fs):
-                raise ValueError(f"value of pair ({a},{b}) must lie below {a}, got {sorted(fs)}")
-            values[(a, b)] = fs
+        values = {(a, b): frozenset() for a in range(kappa) for b in range(a + 1, kappa)}
+        values.update(_checked_entry(kappa, key, val) for key, val in (entries or {}).items())
         return PairFunction(kappa, values)
 
     def value(self, x: int, y: int) -> frozenset[int]:
         return self.values[pair(x, y)]
 
     def updated(self, overrides: Mapping[tuple[int, int], Iterable[int]]) -> "PairFunction":
-        """A copy with the given pairs replaced."""
-        merged = dict(self.values)
-        for key, val in overrides.items():
-            merged[pair(*key)] = frozenset(val)
-        return PairFunction.build(self.kappa, merged)
+        """A copy with the given pairs replaced; unchanged values are shared."""
+        values = dict(self.values)
+        values.update(_checked_entry(self.kappa, key, val) for key, val in overrides.items())
+        return PairFunction(self.kappa, values)
 
     def check_members(self, *sets: Iterable[int]) -> None:
         for s in sets:
@@ -79,11 +82,11 @@ def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0,1], got {density}")
     rng = random.Random(seed)
-    entries: dict[tuple[int, int], frozenset[int]] = {}
+    values: dict[tuple[int, int], frozenset[int]] = {}
     for a in range(kappa):
         for b in range(a + 1, kappa):
-            entries[(a, b)] = frozenset(g for g in range(a) if rng.random() < density)
-    return PairFunction.build(kappa, entries)
+            values[(a, b)] = frozenset(g for g in range(a) if rng.random() < density)
+    return PairFunction(kappa, values)
 
 
 def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) -> list[str]:

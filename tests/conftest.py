@@ -1,0 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import scatterlab
+
+# The directory holding the package, absolute so that a subprocess started in
+# any working directory imports the same code as the tests.
+PACKAGE_ROOT = str(Path(scatterlab.__file__).resolve().parent.parent)
+
+
+@pytest.fixture
+def run_cli():
+    """Run ``python -m scatterlab.cli`` in a subprocess; gives (exit code, stdout)."""
+    inherited = os.environ.get("PYTHONPATH")
+    path = os.pathsep.join([PACKAGE_ROOT, inherited]) if inherited else PACKAGE_ROOT
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(args, cwd):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scatterlab.cli", *args], capture_output=True, cwd=cwd, env=env
+        )
+        return proc.returncode, proc.stdout
+
+    return run

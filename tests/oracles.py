@@ -7,6 +7,7 @@ from-scratch fixed points.  Tests compare library outputs against these.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 
@@ -20,6 +21,21 @@ def oracle_star(x: frozenset, y: frozenset):
     if max(y) in x:
         picks.append(("sup-y-in-x", y - x))
     return len(picks), (picks[0][1] if picks else None)
+
+
+def oracle_pair_function(kappa: int, density: float, seed: int) -> dict:
+    """The values of the seeded pair function, drawn from the definition: pairs
+    ``a < b`` in lexicographic order, then each ``g < a`` in ascending order,
+    one draw per ``g``, admitting ``g`` when the draw falls below ``density``."""
+    rng = random.Random(seed)
+    values = {}
+    for a, b in combinations(range(kappa), 2):
+        chosen = set()
+        for g in range(a):
+            if rng.random() < density:
+                chosen.add(g)
+        values[(a, b)] = frozenset(chosen)
+    return values
 
 
 def oracle_good_pair(f, x, y) -> bool:

@@ -7,8 +7,6 @@ oracles in ``oracles.py``, never from the code paths under test.
 
 import json
 import random
-import subprocess
-import sys
 from itertools import combinations
 
 from scatterlab import suites
@@ -241,14 +239,7 @@ def test_criterion_8_fu_poset():
     report(8, "convergence poset (meet is the greatest lower bound; suffix property)", failures)
 
 
-def run_cli(args, cwd):
-    proc = subprocess.run(
-        [sys.executable, "-m", "scatterlab.cli", *args], capture_output=True, cwd=cwd
-    )
-    return proc.returncode, proc.stdout
-
-
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, run_cli):
     failures = []
     fixtures = {
         "f.json": {"kappa": 6, "f": [[3, 5, [0, 1, 2]], [4, 5, [1, 2]]]},

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -253,19 +251,23 @@ class TestProps:
         assert json.loads(out)["inputs"]["f"] != "random"
 
 
+@pytest.mark.parametrize("density", ["2", "-0.1", "nan"])
+@pytest.mark.parametrize(
+    "command", [["gen-f"], ["props", "--suite", "twins-amalgam", "--trials", "2"]], ids=["gen-f", "props"]
+)
+def test_bad_density_is_an_input_error(command, density, capsys):
+    code = main([*command, "--density", density])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.slow
 class TestDeterminismSubprocess:
-    def run_cli(self, args, cwd):
-        proc = subprocess.run(
-            [sys.executable, "-m", "scatterlab.cli", *args],
-            capture_output=True,
-            cwd=cwd,
-        )
-        return proc.returncode, proc.stdout
-
-    def test_props_jobs_deterministic(self, tmp_path):
+    def test_props_jobs_deterministic(self, tmp_path, run_cli):
         args = ["props", "--suite", "insertion", "--trials", "20", "--seed", "9"]
-        rc1, out1 = self.run_cli(args, tmp_path)
-        rc2, out2 = self.run_cli([*args, "--jobs", "3"], tmp_path)
+        rc1, out1 = run_cli(args, tmp_path)
+        rc2, out2 = run_cli([*args, "--jobs", "3"], tmp_path)
         assert rc1 == rc2 == 0
         assert out1 == out2

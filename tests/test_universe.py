@@ -14,7 +14,7 @@ from scatterlab.universe import (
     search_common_lower_bound,
 )
 
-from oracles import oracle_good_pair, oracle_pair_closure
+from oracles import oracle_good_pair, oracle_pair_closure, oracle_pair_function
 
 
 def small_f(kappa=5, density=0.5, seed=0):
@@ -50,6 +50,53 @@ class TestPairFunction:
     def test_build_rejects_out_of_range_pair(self):
         with pytest.raises(OutOfUniverse):
             PairFunction.build(3, {(2, 5): set()})
+
+    @pytest.mark.parametrize("kappa", [1, 2, 5, 17, 64])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_draw_order_matches_oracle(self, kappa, density):
+        for seed in (0, 7, 2**31 + 5):
+            f = random_pair_function(kappa, density, seed)
+            assert list(f.values.items()) == list(oracle_pair_function(kappa, density, seed).items())
+
+
+class TestUpdated:
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ({(2, 2): set()}, ValueError),
+            ({(1, 6): set()}, OutOfUniverse),
+            ({(3, 1): {1}}, ValueError),
+            ({(2, 4): {0, 3}}, ValueError),
+            ({(2, 4): {-1}}, ValueError),
+        ],
+    )
+    def test_rejects_what_build_rejects(self, override, error):
+        f = random_pair_function(6, 0.5, 1)
+        before = dict(f.values)
+        with pytest.raises(error) as from_updated:
+            f.updated(override)
+        with pytest.raises(error) as from_build:
+            PairFunction.build(6, override)
+        assert str(from_updated.value) == str(from_build.value)
+        assert f.values == before
+
+    def test_matches_build_on_random_overrides(self):
+        rng = random.Random(11)
+        for seed in range(40):
+            kappa = rng.randint(2, 20)
+            f = random_pair_function(kappa, rng.choice((0.0, 0.4, 1.0)), seed)
+            before = dict(f.values)
+            overrides = {}
+            for _ in range(rng.randint(0, 8)):
+                a, b = sorted(rng.sample(range(kappa), 2))
+                key = (a, b) if rng.random() < 0.5 else (b, a)
+                overrides[key] = [g for g in range(a) if rng.random() < 0.5]
+            merged = dict(f.values)
+            merged.update({tuple(sorted(k)): v for k, v in overrides.items()})
+            g = f.updated(overrides)
+            assert g == PairFunction.build(kappa, merged)
+            assert list(g.values) == list(f.values)
+            assert f.values == before
 
 
 class TestGoodPair:
