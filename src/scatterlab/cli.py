@@ -86,6 +86,12 @@ def _check_density(density: float) -> float:
     return density
 
 
+def _check_at_least(name: str, value: int, least: int) -> int:
+    if value < least:
+        raise ParseError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def cmd_gen_f(args) -> int:
     kappa = _check_kappa(args.kappa)
     f = universe.random_pair_function(kappa, _check_density(args.density), args.seed)
@@ -301,6 +307,9 @@ def cmd_fu_sim(args) -> int:
 
 def cmd_props(args) -> int:
     _check_density(args.density)
+    _check_at_least("--jobs", args.jobs, 1)
+    if args.suite == "twins-amalgam" and not args.f:
+        _check_at_least("--kappa for suite twins-amalgam", args.kappa, 8)
     f = None
     inputs: dict = {"suite": args.suite}
     if args.f:
@@ -312,7 +321,7 @@ def cmd_props(args) -> int:
         inputs["kappa"] = args.kappa
         inputs["density"] = args.density
     if args.trials is not None:
-        inputs["trials"] = args.trials
+        inputs["trials"] = _check_at_least("--trials", args.trials, 0)
     report = suites.run_suite(
         args.suite,
         trials=args.trials,

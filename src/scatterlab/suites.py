@@ -3,7 +3,9 @@
 Each suite returns per-property pass/fail counts plus replayable witnesses
 for every failure.  Randomized suites derive one independent RNG stream per
 trial from ``(seed, trial index)``, so reports are identical no matter how
-trials are distributed over workers.
+trials are distributed over workers.  A trial counts its checks as it makes
+them and returns its own :class:`_Tally`; the suite adds the trial tallies up
+in trial order.  A check that passes leaves only a count behind.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import amalgam, generic, poset, sampling, universe
 from .errors import (
@@ -58,7 +60,12 @@ class RunReport:
 
 
 class _Tally:
-    """Pass/fail bookkeeping with the witness-iff-failure invariant."""
+    """Per-property pass/fail counts plus the witnesses of failures only.
+
+    A witness exists if and only if a check failed.  A trial builds one tally
+    with :meth:`hit` and returns it; :meth:`merge_trials` adds trial tallies
+    into the suite's tally.
+    """
 
     def __init__(self) -> None:
         self.outcome: dict[str, dict[str, int]] = {}
@@ -72,22 +79,29 @@ class _Tally:
             slot["fail"] += 1
             self.witnesses.append({"property": prop, **(witness or {})})
 
-    def merge_trial(self, results: Iterable[tuple[str, bool, Optional[dict]]], trial: int) -> None:
-        for prop, ok, witness in results:
-            payload = dict(witness or {})
-            payload.setdefault("trial", trial)
-            self.hit(prop, ok, payload)
+    def merge_trials(self, trials: Iterable["_Tally"]) -> "_Tally":
+        """Add in the tallies of trials ``0, 1, ...``; each witness gains its trial index."""
+        for index, trial in enumerate(trials):
+            for prop, counts in trial.outcome.items():
+                slot = self.outcome.setdefault(prop, {"pass": 0, "fail": 0})
+                slot["pass"] += counts["pass"]
+                slot["fail"] += counts["fail"]
+            for witness in trial.witnesses:
+                witness.setdefault("trial", index)
+                self.witnesses.append(witness)
+        return self
 
     def sorted_witnesses(self) -> list[dict]:
         return sorted(self.witnesses, key=lambda w: (w.get("trial", -1), w["property"]))
 
 
-def _pmap(fn: Callable, payloads: Sequence, jobs: int) -> list:
+def _pmap(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
+    """``fn`` over ``payloads``, yielded in order as results arrive."""
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunk = max(1, len(payloads) // (4 * jobs))
-            return list(ex.map(fn, payloads, chunksize=chunk))
-    return [fn(p) for p in payloads]
+            yield from ex.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs)))
+    else:
+        yield from map(fn, payloads)
 
 
 @dataclass
@@ -146,13 +160,13 @@ _POSET_DOMAIN = (0, 1, 2, 3, 4)
 _POSET_CAP_PER_DOMAIN = 40
 
 
-def _poset_laws_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
+def _poset_laws_trial(payload: tuple) -> _Tally:
     trial, seed, f = payload
     if f is None:
         density = (0.0, 0.3, 0.6, 1.0)[trial % 4]
         f = universe.random_pair_function(len(_POSET_DOMAIN), density, derive_seed(seed, trial, "poset-f"))
     rng = random.Random(derive_seed(seed, trial, "poset-rng"))
-    results: list[tuple[str, bool, Optional[dict]]] = []
+    tally = _Tally()
 
     domain = _POSET_DOMAIN[: f.kappa]
     pool: list[Condition] = []
@@ -164,22 +178,22 @@ def _poset_laws_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
         return {"a": list(p.a), **extra}
 
     for p in pool:
-        results.append(("reflexive", poset.leq(p, p), note(p)))
+        tally.hit("reflexive", poset.leq(p, p), note(p))
         below = list(p.a)
         for r in range(len(below) + 1):
             for b in combinations(below, r):
                 rc = poset.restrict(p, b)
                 criterion = all(v <= frozenset(b) for v in rc.i.values())
-                results.append(("flag-matches-criterion", rc.is_condition == criterion, note(p, b=list(b))))
+                tally.hit("flag-matches-criterion", rc.is_condition == criterion, note(p, b=list(b)))
                 if b == tuple(below[: len(b)]):
-                    results.append(("initial-segment-is-condition", rc.is_condition, note(p, b=list(b))))
+                    tally.hit("initial-segment-is-condition", rc.is_condition, note(p, b=list(b)))
                 as_cond = Condition(rc.b, rc.h, rc.i)
                 valid = poset.validate_condition(f, as_cond).ok
-                results.append(("flag-iff-valid", rc.is_condition == valid, note(p, b=list(b))))
+                tally.hit("flag-iff-valid", rc.is_condition == valid, note(p, b=list(b)))
                 if rc.is_condition:
-                    results.append(("restriction-below", poset.leq(p, as_cond), note(p, b=list(b))))
+                    tally.hit("restriction-below", poset.leq(p, as_cond), note(p, b=list(b)))
                     agrees = poset.leq_restricted(poset.as_restriction(p), rc) == poset.leq(p, as_cond)
-                    results.append(("leq-restricted-agrees", agrees, note(p, b=list(b))))
+                    tally.hit("leq-restricted-agrees", agrees, note(p, b=list(b)))
         # transitivity along nested restriction chains
         for _ in range(3):
             if not p.a:
@@ -190,7 +204,7 @@ def _poset_laws_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
             if q.is_condition and rr.is_condition:
                 qc, rrc = q.as_condition(), rr.as_condition()
                 if poset.leq(p, qc) and poset.leq(qc, rrc):
-                    results.append(("transitive", poset.leq(p, rrc), note(p, b=list(b), c=list(c))))
+                    tally.hit("transitive", poset.leq(p, rrc), note(p, b=list(b), c=list(c)))
 
     by_domain: dict[tuple[int, ...], list[Condition]] = {}
     for p in pool:
@@ -199,17 +213,14 @@ def _poset_laws_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
         sample = group if len(group) <= 12 else rng.sample(group, 12)
         for p, q in combinations(sample, 2):
             anti = not (poset.leq(p, q) and poset.leq(q, p)) or p == q
-            results.append(("antisymmetric", anti, {"a": list(dom)}))
-    return results
+            tally.hit("antisymmetric", anti, {"a": list(dom)})
+    return tally
 
 
 def run_poset_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
     n = ctx.n(1 if ctx.f is not None else 20)  # a fixed f makes trials identical
     payloads = [(t, ctx.seed, ctx.f) for t in range(n)]
-    tally = _Tally()
-    for trial, results in enumerate(_pmap(_poset_laws_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
-    return tally, {}
+    return _Tally().merge_trials(_pmap(_poset_laws_trial, payloads, ctx.jobs)), {}
 
 
 # twins-amalgam ------------------------------------------------------------
@@ -232,7 +243,7 @@ def g_well_defined(p: Condition, q: Condition) -> bool:
     return True
 
 
-def _twins_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
+def _twins_trial(payload: tuple) -> _Tally:
     trial, seed, f, kappa, density = payload
     rng = random.Random(derive_seed(seed, trial, "twins-rng"))
     if f is None:
@@ -240,36 +251,33 @@ def _twins_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
         f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "twins-f"))
     size = rng.randint(0, 6)
     f2, p, q = sampling.good_twin_pair(f, rng, size)
-    results: list[tuple[str, bool, Optional[dict]]] = []
+    tally = _Tally()
     wit = {"a": list(p.a), "a2": list(q.a)}
-    results.append(("sampler-yields-good-twins", amalgam.are_good_twins(f2, p, q), wit))
+    tally.hit("sampler-yields-good-twins", amalgam.are_good_twins(f2, p, q), wit)
     try:
         r = amalgam.amalgamate(f2, p, q)
     except NotGoodTwins as exc:
-        results.append(("amalgamation-succeeds", False, {**wit, "clauses": list(exc.clauses)}))
-        return results
-    results.append(("amalgamation-succeeds", True, wit))
-    results.append(("result-valid", poset.validate_condition(f2, r).ok, wit))
-    results.append(("below-left", poset.leq(r, p), wit))
-    results.append(("below-right", poset.leq(r, q), wit))
-    results.append(("symmetric", amalgam.amalgamate(f2, q, p) == r, wit))
-    results.append(("membership-equivalence", amalgam.verify_membership_equiv(p, q, f2), wit))
-    results.append(("merged-h-well-defined", g_well_defined(p, q), wit))
-    return results
+        tally.hit("amalgamation-succeeds", False, {**wit, "clauses": list(exc.clauses)})
+        return tally
+    tally.hit("amalgamation-succeeds", True, wit)
+    tally.hit("result-valid", poset.validate_condition(f2, r).ok, wit)
+    tally.hit("below-left", poset.leq(r, p), wit)
+    tally.hit("below-right", poset.leq(r, q), wit)
+    tally.hit("symmetric", amalgam.amalgamate(f2, q, p) == r, wit)
+    tally.hit("membership-equivalence", amalgam.verify_membership_equiv(p, q, f2), wit)
+    tally.hit("merged-h-well-defined", g_well_defined(p, q), wit)
+    return tally
 
 
 def run_twins_amalgam(ctx: SuiteContext) -> tuple[_Tally, dict]:
     n = ctx.n(500)
     payloads = [(t, ctx.seed, ctx.f, ctx.kappa, ctx.density) for t in range(n)]
-    tally = _Tally()
-    for trial, results in enumerate(_pmap(_twins_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
-    return tally, {}
+    return _Tally().merge_trials(_pmap(_twins_trial, payloads, ctx.jobs)), {}
 
 
 # insertion ----------------------------------------------------------------
 
-def _insertion_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
+def _insertion_trial(payload: tuple) -> _Tally:
     trial, seed, kappa = payload
     rng = random.Random(derive_seed(seed, trial, "insertion-rng"))
     k = rng.choice((1, 2))
@@ -282,49 +290,40 @@ def _insertion_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
         density=rng.choice((0.2, 0.5, 0.8)),
     )
     wit = {"a": list(s.a), "k": k, "S": sorted(layout.S), "Q": sorted(layout.Q)}
-    results: list[tuple[str, bool, Optional[dict]]] = []
+    tally = _Tally()
     try:
         r = amalgam.insertion_construction(f, s, layout)
     except HypothesisViolated as exc:
-        results.append(("hypotheses-accepted", False, {**wit, "reason": str(exc)}))
-        return results
-    results.append(("hypotheses-accepted", True, wit))
-    results.append(("result-valid", poset.validate_condition(f, r).ok, wit))
-    results.append(
-        ("(a)-below-s-trace", poset.leq_restricted(poset.as_restriction(r), poset.restrict(s, layout.S)), wit)
-    )
-    results.append(
-        (
-            "(b)-below-qe-trace",
-            poset.leq_restricted(poset.as_restriction(r), poset.restrict(s, layout.Q | layout.E)),
-            wit,
-        )
-    )
+        tally.hit("hypotheses-accepted", False, {**wit, "reason": str(exc)})
+        return tally
+    tally.hit("hypotheses-accepted", True, wit)
+    tally.hit("result-valid", poset.validate_condition(f, r).ok, wit)
+    s_trace = poset.restrict(s, layout.S)
+    tally.hit("(a)-below-s-trace", poset.leq_restricted(poset.as_restriction(r), s_trace), wit)
+    qe_trace = poset.restrict(s, layout.Q | layout.E)
+    tally.hit("(b)-below-qe-trace", poset.leq_restricted(poset.as_restriction(r), qe_trace), wit)
     c_block = layout.S - poset.h_union(s, layout.Q | layout.E)
-    results.append(("(c)-block-inserted", c_block <= r.h[layout.gammas[0]], {**wit, "C": sorted(c_block)}))
+    tally.hit("(c)-block-inserted", c_block <= r.h[layout.gammas[0]], {**wit, "C": sorted(c_block)})
     se = poset.restrict(s, layout.S | layout.E).as_condition()
-    results.append(("(d)-refines", poset.precedes(se, r), wit))
-    return results
+    tally.hit("(d)-refines", poset.precedes(se, r), wit)
+    return tally
 
 
 def run_insertion(ctx: SuiteContext) -> tuple[_Tally, dict]:
     n = ctx.n(100)
     payloads = [(t, ctx.seed, ctx.kappa) for t in range(n)]
-    tally = _Tally()
-    for trial, results in enumerate(_pmap(_insertion_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
-    return tally, {}
+    return _Tally().merge_trials(_pmap(_insertion_trial, payloads, ctx.jobs)), {}
 
 
 # closure-laws -------------------------------------------------------------
 
-def _pair_closure_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
+def _pair_closure_trial(payload: tuple) -> _Tally:
     trial, seed, exhaustive = payload
     density = (0.0, 0.5, 1.0)[trial % 3]
     kappa = 5
     f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "clf"))
     rng = random.Random(derive_seed(seed, trial, "clf-rng"))
-    results: list[tuple[str, bool, Optional[dict]]] = []
+    tally = _Tally()
     pool = list(range(kappa))
     all_subsets = [frozenset(s) for r in range(kappa + 1) for s in combinations(pool, r)]
     if exhaustive:
@@ -336,25 +335,25 @@ def _pair_closure_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]
         res = universe.pair_closure(f, base, partners)
         cl = res.closure
         wit = {"K": sorted(base), "K2": sorted(partners), "density": density}
-        results.append(("contains-base", base <= cl, wit))
+        tally.hit("contains-base", base <= cl, wit)
         if base:
-            results.append(("max-preserved", max(cl) == max(base), wit))
+            tally.hit("max-preserved", max(cl) == max(base), wit)
         else:
-            results.append(("empty-base-empty-closure", cl == frozenset(), wit))
+            tally.hit("empty-base-empty-closure", cl == frozenset(), wit)
         closed = all(
             f.value(x, y) <= cl
             for x in cl
             for y in (cl | partners)
             if x != y
         )
-        results.append(("closed-under-values", closed, wit))
+        tally.hit("closed-under-values", closed, wit)
         again = universe.pair_closure(f, cl, partners).closure
-        results.append(("idempotent", again == cl, wit))
+        tally.hit("idempotent", again == cl, wit)
         extras = [e for e in pool if e not in base]
         for e in (extras if exhaustive else extras[:2]):
             bigger = universe.pair_closure(f, base | {e}, partners).closure
-            results.append(("monotone", cl <= bigger, {**wit, "extra": e}))
-    return results
+            tally.hit("monotone", cl <= bigger, {**wit, "extra": e})
+    return tally
 
 
 def _toy_spaces(kappa: int) -> list[tuple[str, generic.SpaceModel]]:
@@ -377,9 +376,7 @@ def _toy_spaces(kappa: int) -> list[tuple[str, generic.SpaceModel]]:
 def run_closure_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
     n = ctx.n(150)
     payloads = [(t, ctx.seed, t < 6) for t in range(n)]
-    tally = _Tally()
-    for trial, results in enumerate(_pmap(_pair_closure_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
+    tally = _Tally().merge_trials(_pmap(_pair_closure_trial, payloads, ctx.jobs))
 
     # Kuratowski laws for the induced finite topology, exhaustive at kappa 6.
     kappa = 6
@@ -405,7 +402,7 @@ def run_closure_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
 
 # space-checks -------------------------------------------------------------
 
-def _space_trial(payload: tuple) -> tuple[list[tuple[str, bool, Optional[dict]]], bool]:
+def _space_trial(payload: tuple) -> tuple[_Tally, bool]:
     trial, seed, kappa_max = payload
     rng = random.Random(derive_seed(seed, trial, "space-rng"))
     kappa = rng.randint(4, kappa_max)
@@ -413,55 +410,52 @@ def _space_trial(payload: tuple) -> tuple[list[tuple[str, bool, Optional[dict]]]
     f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "space-f"))
     space, sample, goals = sampling.random_space(f, derive_seed(seed, trial, "space-s"), nbhd_goals=10)
     wit = {"kappa": kappa, "density": density}
-    results: list[tuple[str, bool, Optional[dict]]] = []
+    tally = _Tally()
 
-    results.append(("max-invariant", not generic.max_invariant_violations(space), wit))
+    tally.hit("max-invariant", not generic.max_invariant_violations(space), wit)
     ok, bad = generic.check_star_containment(space)
-    results.append(("star-containment", ok, {**wit, "pairs": bad}))
+    tally.hit("star-containment", ok, {**wit, "pairs": bad})
     loc = generic.check_loc_comp_hypothesis(space)
-    results.append(("loc-comp-hypothesis", loc, wit))
+    tally.hit("loc-comp-hypothesis", loc, wit)
     compact = all(generic.compactness_by_subbase(space, alpha) for alpha in space.carrier)
-    results.append(("subbase-compactness", compact, wit))
-    results.append(("loc-comp-agrees-subbase", loc == compact, wit))
+    tally.hit("subbase-compactness", compact, wit)
+    tally.hit("loc-comp-agrees-subbase", loc == compact, wit)
 
     chain_ok = all(poset.leq(sample.chain[k + 1], sample.chain[k]) for k in range(len(sample.chain) - 1))
-    results.append(("chain-descending", chain_ok, wit))
+    tally.hit("chain-descending", chain_ok, wit)
     final = sample.final
     stable = all(space.H[alpha] == final.h[alpha] for alpha in final.a)
-    results.append(("assembled-h-stable", stable, wit))
+    tally.hit("assembled-h-stable", stable, wit)
 
     oldset = all(
         bool(space.nbhd(g.beta, g.b) & g.Z)
         for g in goals
         if isinstance(g, generic.NbhdGoal)
     )
-    results.append(("old-set-scheduled-goals", oldset, wit))
+    tally.hit("old-set-scheduled-goals", oldset, wit)
 
     try:
         ranks = generic.cantor_bendixson(space)
-        results.append(("cb-total", set(ranks) == set(space.carrier), wit))
+        tally.hit("cb-total", set(ranks) == set(space.carrier), wit)
         levels = generic.cb_levels(ranks)
         discrete = all(
             generic.minimal_nbhd(space, x) & frozenset(xs) == {x}
             for xs in levels.values()
             for x in xs
         )
-        results.append(("cb-levels-discrete", discrete, wit))
+        tally.hit("cb-levels-discrete", discrete, wit)
     except ScatterlabError as exc:
-        results.append(("cb-total", False, {**wit, "reason": str(exc)}))
-    return results, generic.is_coherent(space)
+        tally.hit("cb-total", False, {**wit, "reason": str(exc)})
+    return tally, generic.is_coherent(space)
 
 
 def run_space_checks(ctx: SuiteContext) -> tuple[_Tally, dict]:
     n = ctx.n(50)
     payloads = [(t, ctx.seed, max(4, min(ctx.kappa, 16))) for t in range(n)]
-    tally = _Tally()
-    coherent = 0
-    for trial, (results, is_coh) in enumerate(_pmap(_space_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
-        coherent += int(is_coh)
-    notes = {"coherent-spaces-observed": coherent, "spaces": n}
-    return tally, notes
+    trials = list(_pmap(_space_trial, payloads, ctx.jobs))
+    tally = _Tally().merge_trials(trial for trial, _ in trials)
+    coherent = sum(int(is_coh) for _, is_coh in trials)
+    return tally, {"coherent-spaces-observed": coherent, "spaces": n}
 
 
 # fu-laws ------------------------------------------------------------------
@@ -520,7 +514,7 @@ def run_fu_exhaustive() -> _Tally:
     return tally
 
 
-def _fu_sim_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
+def _fu_sim_trial(payload: tuple) -> _Tally:
     trial, seed = payload
     rng = random.Random(derive_seed(seed, trial, "fu-rng"))
     kappa = rng.randint(5, 12)
@@ -535,9 +529,9 @@ def _fu_sim_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
     ]
     res = generic.fu_simulate(space, a_set, alpha, schedule, derive_seed(seed, trial, "fu-sim"))
     wit = {"alpha": alpha, "A": sorted(a_set), "schedule": [sorted(c) for c in schedule]}
-    results: list[tuple[str, bool, Optional[dict]]] = []
-    results.append(("acquired-from-A", set(res.points) <= set(a_set), wit))
-    results.append(("acquired-distinct", len(set(res.points)) == len(res.points), wit))
+    tally = _Tally()
+    tally.hit("acquired-from-A", set(res.points) <= set(a_set), wit)
+    tally.hit("acquired-distinct", len(set(res.points)) == len(res.points), wit)
     suffix_ok = True
     acc: list[tuple[frozenset[int], int]] = [
         (step.C, step.acquired) for step in res.steps
@@ -547,17 +541,14 @@ def _fu_sim_trial(payload: tuple) -> list[tuple[str, bool, Optional[dict]]]:
         u = space.nbhd(alpha, block)
         if not all(x in u for x in later):
             suffix_ok = False
-    results.append(("suffix-convergence", suffix_ok, wit))
-    return results
+    tally.hit("suffix-convergence", suffix_ok, wit)
+    return tally
 
 
 def run_fu_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    tally = run_fu_exhaustive()
     n = ctx.n(50)
     payloads = [(t, ctx.seed) for t in range(n)]
-    for trial, results in enumerate(_pmap(_fu_sim_trial, payloads, ctx.jobs)):
-        tally.merge_trial(results, trial)
-    return tally, {}
+    return run_fu_exhaustive().merge_trials(_pmap(_fu_sim_trial, payloads, ctx.jobs)), {}
 
 
 SUITES: dict[str, Callable[[SuiteContext], tuple[_Tally, dict]]] = {

@@ -28,8 +28,8 @@ def _checked_entry(kappa: int, key: tuple[int, int], val: Iterable[int]) -> tupl
     """Normalize one ``(pair, value)`` entry, rejecting a pair outside the
     carrier or a value not below the pair's minimum."""
     a, b = pair(*key)
-    if b >= kappa:
-        raise OutOfUniverse(f"pair ({a},{b}) exceeds kappa={kappa}")
+    if a < 0 or b >= kappa:
+        raise OutOfUniverse(f"pair ({a},{b}) lies outside the carrier 0..{kappa - 1}")
     fs = frozenset(int(g) for g in val)
     if any(g < 0 or g >= a for g in fs):
         raise ValueError(f"value of pair ({a},{b}) must lie below {a}, got {sorted(fs)}")

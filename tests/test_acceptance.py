@@ -66,8 +66,9 @@ def test_criterion_1_star_laws():
     report(1, "star-laws", failures)
 
 
-def test_criterion_2_poset_laws():
-    rep = run_suite("poset-laws", trials=20, seed=SEED)
+def test_criterion_2_poset_laws(poset_laws_report):
+    rep = poset_laws_report
+    assert rep.seed == SEED
     failures = [] if rep.ok else rep.witnesses
     report(2, "poset-laws", failures)
 

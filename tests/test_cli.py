@@ -263,6 +263,33 @@ def test_bad_density_is_an_input_error(command, density, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--suite", "twins-amalgam", "--trials", "-1"], "--trials must be at least 0"),
+        (["--suite", "twins-amalgam", "--trials", "2", "--jobs", "-3"], "--jobs must be at least 1"),
+        (["--suite", "twins-amalgam", "--trials", "2", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--suite", "twins-amalgam", "--kappa", "3"], "at least 8"),
+        (["--suite", "poset-laws", "--f", "{negative_f}"], "pair (-1,2)"),
+    ],
+    ids=["trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal"],
+)
+def test_bad_props_input_is_an_input_error(flags, named, tmp_path, capsys):
+    negative_f = write(tmp_path, "f.json", {"kappa": 4, "f": [[-1, 2, []]]})
+    code = main(["props", *(flag.format(negative_f=negative_f) for flag in flags)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_twins_kappa_minimum_applies_only_without_f(tmp_path, capsys):
+    assert main(["props", "--suite", "twins-amalgam", "--trials", "2", "--kappa", "8"]) == 0
+    f = write(tmp_path, "f.json", WORKED_F)
+    assert main(["props", "--suite", "twins-amalgam", "--trials", "2", "--kappa", "3", "--f", f]) == 0
+
+
 @pytest.mark.slow
 class TestDeterminismSubprocess:
     def test_props_jobs_deterministic(self, tmp_path, run_cli):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import scatterlab.poset
+from scatterlab import formats
 from scatterlab.errors import UnknownSuite
 from scatterlab.generic import NbhdGoal, PointGoal
 from scatterlab.poset import basic_nbhd
@@ -40,6 +42,21 @@ class TestHarnessContract:
         # the witness replays against the true implementation
         x, y = frozenset(wit["x"]), frozenset(wit["y"])
         assert buggy_star(x, y) != true_star(x, y)
+
+    def test_failure_path_is_pinned(self, monkeypatch):
+        # No suite fails at its default seeds, so force one property to fail
+        # everywhere and pin the report, witnesses and all.
+        monkeypatch.setattr(scatterlab.poset, "leq_restricted", lambda r1, r2: False)
+        serial = run_suite("poset-laws", trials=2, seed=0)
+        text = formats.to_text(serial.as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fa4f348a7b44efb7ff1390efb3dd98cfd99d8297a02c97f65692c7ab3596dc77"
+        )
+        assert serial.outcome["leq-restricted-agrees"] == {"pass": 0, "fail": 8562}
+        # Workers are forked, so they inherit the patch.
+        assert formats.to_text(run_suite("poset-laws", trials=2, seed=0, jobs=2).as_dict()) == text
+        assert len(serial.witnesses) == sum(v["fail"] for v in serial.outcome.values())
+        assert all({"property", "trial"} <= set(w) for w in serial.witnesses)
 
     def test_report_shape(self):
         rep = run_suite("insertion", trials=5, seed=1)

@@ -68,6 +68,8 @@ class TestUpdated:
             ({(3, 1): {1}}, ValueError),
             ({(2, 4): {0, 3}}, ValueError),
             ({(2, 4): {-1}}, ValueError),
+            ({(-1, 2): set()}, OutOfUniverse),
+            ({(3, -2): set()}, OutOfUniverse),
         ],
     )
     def test_rejects_what_build_rejects(self, override, error):
