@@ -3,7 +3,9 @@
 Two conditions are *twins* when the unique order-preserving bijection
 between their domains is an isomorphism of the triples and fixes the common
 part.  *Good* twins additionally agree on ``i`` over the common pairs and
-have domains that form a good pair for the ambient pair function.  For good
+have domains that form a good pair for the ambient pair function.  One
+checker, :func:`good_twin_violations`, names the failed clauses; the twin
+test and the re-check in :func:`verify_membership_equiv` call it.  For good
 twins the canonical common extension is assembled pointwise; the minimum
 ``delta_xi`` of the common-domain ordinals whose neighbourhood sets contain
 ``xi`` steers which foreign points join a neighbourhood set.
@@ -32,36 +34,16 @@ class TwinWitness:
     e: tuple[tuple[int, int], ...]
     common: frozenset[int]
 
-    def apply(self, xi: int) -> int:
-        return dict(self.e)[xi]
 
-    def image(self, xs: Iterable[int]) -> frozenset[int]:
-        m = dict(self.e)
-        return frozenset(m[x] for x in xs)
+def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Condition) -> list[str]:
+    """Names of the failed good-twin clauses; empty means good twins.
 
-
-def are_twins(p: Condition, p_prime: Condition) -> Optional[TwinWitness]:
-    """Witness that the natural domain bijection is an isomorphism fixing the
-    overlap; ``None`` otherwise."""
-    if len(p.a) != len(p_prime.a):
-        return None
-    e = tuple(zip(p.a, p_prime.a))
-    m = dict(e)
-    common = frozenset(p.a) & frozenset(p_prime.a)
-    for xi in common:
-        if m[xi] != xi:
-            return None
-    for xi in p.a:
-        if p_prime.h[m[xi]] != frozenset(m[v] for v in p.h[xi]):
-            return None
-    for x, y in combinations(p.a, 2):
-        if p_prime.i_value(m[x], m[y]) != frozenset(m[v] for v in p.i_value(x, y)):
-            return None
-    return TwinWitness(e, common)
-
-
-def good_twin_violations(f: PairFunction, p: Condition, p_prime: Condition) -> list[str]:
-    """Names of the failed good-twin clauses; empty means good twins."""
+    Clause 1 is the twin clause: equal sizes, (iii) the shared points are
+    fixed, and the natural bijection carries (i) ``h`` and (ii) ``i``.
+    Clause 2 is agreement of ``i`` on the shared pairs, and clause 3 asks
+    the domains to form a good pair for ``f``; it is skipped when ``f`` is
+    ``None``.  This is the only evaluation of the clauses in the package.
+    """
     out: list[str] = []
     if len(p.a) != len(p_prime.a):
         return ["1 (domain sizes differ)"]
@@ -80,9 +62,17 @@ def good_twin_violations(f: PairFunction, p: Condition, p_prime: Condition) -> l
     for x, y in combinations(sorted(common), 2):
         if p.i_value(x, y) != p_prime.i_value(x, y):
             out.append(f"2 at {(x, y)}")
-    if good_pair_violations(f, p.a, p_prime.a):
+    if f is not None and good_pair_violations(f, p.a, p_prime.a):
         out.append("3 (domains not a good pair)")
     return out
+
+
+def are_twins(p: Condition, p_prime: Condition) -> Optional[TwinWitness]:
+    """Witness that the natural domain bijection is an isomorphism fixing the
+    overlap (clause 1 of :func:`good_twin_violations`); ``None`` otherwise."""
+    if any(c.startswith("1") for c in good_twin_violations(None, p, p_prime)):
+        return None
+    return TwinWitness(tuple(zip(p.a, p_prime.a)), frozenset(p.a) & frozenset(p_prime.a))
 
 
 def are_good_twins(f: PairFunction, p: Condition, p_prime: Condition) -> bool:
@@ -119,13 +109,10 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     for xi in b:
         if xi in a and xi in a2:
             g[xi] = p.h[xi] | p_prime.h[xi]
-        elif xi in a:
-            g[xi] = p.h[xi] | frozenset(
-                eta for eta in a2 - a if delta(eta) is not None and delta(eta) in p.h[xi]
-            )
         else:
-            g[xi] = p_prime.h[xi] | frozenset(
-                eta for eta in a - a2 if delta(eta) is not None and delta(eta) in p_prime.h[xi]
+            own, foreign = (p, a2 - a) if xi in a else (p_prime, a - a2)
+            g[xi] = own.h[xi] | frozenset(
+                eta for eta in foreign if delta(eta) is not None and delta(eta) in own.h[xi]
             )
 
     j: dict[tuple[int, int], frozenset[int]] = {}
@@ -147,18 +134,12 @@ def verify_membership_equiv(
 
     For every ``eta`` in one twin's domain and every shared ``delta``:
     ``eta in h(delta)`` exactly when ``delta_xi(eta)`` is defined and sits in
-    ``h(delta)``.  Twin clauses are re-checked (and goodness too when ``f``
-    is supplied); a ``False`` return on a genuine good-twin pair is a bug
-    witness, not an expected outcome.
+    ``h(delta)``.  The twin clauses are re-checked with
+    :func:`good_twin_violations` (goodness only when ``f`` is supplied); a
+    ``False`` return on a genuine good-twin pair is a bug witness, not an
+    expected outcome.
     """
-    if f is not None:
-        bad = good_twin_violations(f, p, p_prime)
-    else:
-        bad = ["1"] if are_twins(p, p_prime) is None else []
-        common = frozenset(p.a) & frozenset(p_prime.a)
-        for x, y in combinations(sorted(common), 2):
-            if p.i_value(x, y) != p_prime.i_value(x, y):
-                bad.append(f"2 at {(x, y)}")
+    bad = good_twin_violations(f, p, p_prime)
     if bad:
         raise NotGoodTwins(bad)
     common = frozenset(p.a) & frozenset(p_prime.a)
@@ -238,7 +219,7 @@ def insertion_construction(f: PairFunction, s: Condition, layout: InsertionLayou
         raise HypothesisViolated(f"input condition invalid: {report.clauses()}")
 
     qe = layout.Q | layout.E
-    hqe = h_union(s, qe)
+    hqe = h_union(s.h, qe)
     gammas = layout.gammas
     for idx, (g0, g1) in enumerate(layout.gamma_pairs):
         if s.h[g0] & s.h[g1] != hqe:

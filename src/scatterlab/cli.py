@@ -120,19 +120,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_twins(args) -> int:
+def _twin_inputs(args) -> tuple[universe.PairFunction, poset.Condition, poset.Condition, dict]:
+    """The pair function and the conditions ``--p`` and ``--q``, each checked
+    valid over it, plus the input digests."""
     ftext, fdig = _read(args.f)
     ptext, pdig = _read(args.p)
     qtext, qdig = _read(args.q)
     f = formats.load_pair_function(ftext)
     p = formats.load_condition(ptext)
     q = formats.load_condition(qtext)
+    for flag, cond in (("--p", p), ("--q", q)):
+        clauses = poset.validate_condition(f, cond).clauses()
+        if clauses:
+            raise ParseError(f"{flag} is not a valid condition over --f: clauses {', '.join(clauses)} fail")
+    return f, p, q, {"f": fdig, "p": pdig, "q": qdig}
+
+
+def cmd_twins(args) -> int:
+    f, p, q, inputs = _twin_inputs(args)
     witness = amalgam.are_twins(p, q)
     clauses = amalgam.good_twin_violations(f, p, q)
     _emit(
         {
             "command": "twins",
-            "inputs": {"f": fdig, "p": pdig, "q": qdig},
+            "inputs": inputs,
             "twins": witness is not None,
             "isomorphism": [list(e) for e in witness.e] if witness else None,
             "good_twins": not clauses,
@@ -144,13 +155,7 @@ def cmd_twins(args) -> int:
 
 
 def cmd_amalgamate(args) -> int:
-    ftext, fdig = _read(args.f)
-    ptext, pdig = _read(args.p)
-    qtext, qdig = _read(args.q)
-    f = formats.load_pair_function(ftext)
-    p = formats.load_condition(ptext)
-    q = formats.load_condition(qtext)
-    inputs = {"f": fdig, "p": pdig, "q": qdig}
+    f, p, q, inputs = _twin_inputs(args)
     try:
         r = amalgam.amalgamate(f, p, q)
     except NotGoodTwins as exc:
@@ -215,14 +220,16 @@ def cmd_lower_bound(args) -> int:
     return EXIT_OK
 
 
-def _space_report(space: generic.SpaceModel) -> dict:
+def _space_report(space: generic.SpaceModel) -> tuple[dict, bool]:
+    """The structural report on a space, and whether its checks all pass."""
+    max_bad = generic.max_invariant_violations(space)
     star_ok, star_bad = generic.check_star_containment(space)
     loc = generic.check_loc_comp_hypothesis(space)
     compact = all(generic.compactness_by_subbase(space, alpha) for alpha in space.carrier)
     ranks = generic.cantor_bendixson(space)
     histogram = {str(rank): len(points) for rank, points in generic.cb_levels(ranks).items()}
-    return {
-        "max_invariant_violations": generic.max_invariant_violations(space),
+    report = {
+        "max_invariant_violations": max_bad,
         "star_containment": star_ok,
         "star_containment_failures": star_bad,
         "loc_comp_hypothesis": loc,
@@ -230,6 +237,7 @@ def _space_report(space: generic.SpaceModel) -> dict:
         "coherent": generic.is_coherent(space),
         "cb_rank_histogram": histogram,
     }
+    return report, not max_bad and star_ok and loc and compact
 
 
 def cmd_sample_space(args) -> int:
@@ -241,13 +249,7 @@ def cmd_sample_space(args) -> int:
     sample = generic.sample_filter(f, _check_kappa(kappa), goals, args.seed)
     space = generic.assemble_space(sample)
     _write(args.out, formats.dump_space(space), quiet=True)
-    report = _space_report(space)
-    checks_ok = (
-        not report["max_invariant_violations"]
-        and report["star_containment"]
-        and report["loc_comp_hypothesis"]
-        and report["subbase_compactness"]
-    )
+    report, checks_ok = _space_report(space)
     _emit(
         {
             "command": "sample-space",
@@ -265,13 +267,7 @@ def cmd_sample_space(args) -> int:
 def cmd_check_space(args) -> int:
     stext, sdig = _read(args.space)
     space = formats.load_space(stext)
-    report = _space_report(space)
-    checks_ok = (
-        not report["max_invariant_violations"]
-        and report["star_containment"]
-        and report["loc_comp_hypothesis"]
-        and report["subbase_compactness"]
-    )
+    report, checks_ok = _space_report(space)
     _emit({"command": "check-space", "inputs": {"space": sdig}, **report}, args.quiet)
     return EXIT_OK if checks_ok else EXIT_FAIL
 
@@ -282,12 +278,7 @@ def cmd_fu_sim(args) -> int:
     a_set = _int_set(args.A)
     schedule = _int_set_list(args.blocks)
     res = generic.fu_simulate(space, a_set, args.alpha, schedule, args.seed)
-    suffix_ok = True
-    for t, step in enumerate(res.steps):
-        u = space.nbhd(args.alpha, step.C)
-        later = [s.acquired for s in res.steps[t:] if s.acquired is not None]
-        if not all(x in u for x in later):
-            suffix_ok = False
+    suffix_ok = generic.suffix_convergence(space, args.alpha, res.steps)
     _emit(
         {
             "command": "fu-sim",
@@ -306,6 +297,7 @@ def cmd_fu_sim(args) -> int:
 
 
 def cmd_props(args) -> int:
+    _check_kappa(args.kappa)
     _check_density(args.density)
     _check_at_least("--jobs", args.jobs, 1)
     if args.suite == "twins-amalgam" and not args.f:

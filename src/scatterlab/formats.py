@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .amalgam import InsertionLayout
 from .errors import ParseError
 from .generic import Goal, NbhdGoal, PointGoal, SpaceModel
 from .poset import Condition
@@ -22,12 +21,53 @@ def to_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_int_list(value: Any, what: str, ascending: bool = True) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise ParseError(f"{what} must be a list of integers, got {value!r}")
     if ascending and value != sorted(set(value)):
         raise ParseError(f"{what} must be strictly ascending, got {value}")
     return value
+
+
+def _kappa(value: Any) -> int:
+    if not _is_int(value) or value < 1:
+        raise ParseError(f"kappa must be a positive integer, got {value!r}")
+    return value
+
+
+def _point_sets(value: Any, key: str) -> dict[int, frozenset[int]]:
+    """An ``h`` or ``H`` list of ``[point, [members...]]`` pairs, one per point."""
+    if not isinstance(value, list):
+        raise ParseError(f"'{key}' must be a list of [point, [members...]] pairs")
+    out: dict[int, frozenset[int]] = {}
+    for item in value:
+        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0])):
+            raise ParseError(f"malformed {key} entry {item!r}")
+        if item[0] in out:
+            raise ParseError(f"duplicate {key} entry at {item[0]}")
+        out[item[0]] = frozenset(_as_int_list(item[1], f"{key} value at {item[0]}"))
+    return out
+
+
+def _pair_sets(value: Any, key: str) -> dict[tuple[int, int], frozenset[int]]:
+    """An ``i`` or ``f`` list of ``[xi, eta, [members...]]`` triples, one per pair ``xi < eta``."""
+    if not isinstance(value, list):
+        raise ParseError(f"'{key}' must be a list of [xi, eta, [members...]] triples")
+    out: dict[tuple[int, int], frozenset[int]] = {}
+    for item in value:
+        if not (isinstance(item, list) and len(item) == 3 and _is_int(item[0]) and _is_int(item[1])):
+            raise ParseError(f"malformed {key} entry {item!r}")
+        x, y, members = item
+        if not x < y:
+            raise ParseError(f"{key} entry needs xi < eta, got {item!r}")
+        if (x, y) in out:
+            raise ParseError(f"duplicate {key} entry at ({x},{y})")
+        out[(x, y)] = frozenset(_as_int_list(members, f"{key} value at ({x},{y})"))
+    return out
 
 
 def _loads(text: str, what: str) -> Any:
@@ -50,23 +90,10 @@ def load_pair_function(text: str) -> PairFunction:
     doc = _loads(text, "pair function")
     if not isinstance(doc, dict) or set(doc) != {"kappa", "f"}:
         raise ParseError("pair function document needs exactly the keys 'kappa' and 'f'")
-    kappa = doc["kappa"]
-    if not isinstance(kappa, int) or kappa < 1:
-        raise ParseError(f"kappa must be a positive integer, got {kappa!r}")
-    if not isinstance(doc["f"], list):
-        raise ParseError("'f' must be a list of [alpha, beta, [gamma...]] triples")
-    entries: dict[tuple[int, int], frozenset[int]] = {}
-    last: tuple[int, int] | None = None
-    for item in doc["f"]:
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"malformed f entry {item!r}")
-        a, b, gammas = item
-        if not (isinstance(a, int) and isinstance(b, int) and a < b):
-            raise ParseError(f"f entry needs alpha < beta, got {item!r}")
-        if last is not None and (a, b) <= last:
-            raise ParseError("f entries must be in ascending (alpha, beta) order")
-        last = (a, b)
-        entries[(a, b)] = frozenset(_as_int_list(gammas, f"f value at ({a},{b})"))
+    kappa = _kappa(doc["kappa"])
+    entries = _pair_sets(doc["f"], "f")
+    if list(entries) != sorted(entries):
+        raise ParseError("f entries must be in ascending (xi, eta) order")
     try:
         return PairFunction.build(kappa, entries)
     except Exception as exc:
@@ -87,29 +114,7 @@ def load_condition(text: str) -> Condition:
     doc = _loads(text, "condition")
     if not isinstance(doc, dict) or set(doc) != {"a", "h", "i"}:
         raise ParseError("condition document needs exactly the keys 'a', 'h' and 'i'")
-    a = _as_int_list(doc["a"], "'a'")
-    h: dict[int, frozenset[int]] = {}
-    if not isinstance(doc["h"], list):
-        raise ParseError("'h' must be a list of [xi, [members...]] pairs")
-    for item in doc["h"]:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)):
-            raise ParseError(f"malformed h entry {item!r}")
-        if item[0] in h:
-            raise ParseError(f"duplicate h entry at {item[0]}")
-        h[item[0]] = frozenset(_as_int_list(item[1], f"h value at {item[0]}"))
-    i: dict[tuple[int, int], frozenset[int]] = {}
-    if not isinstance(doc["i"], list):
-        raise ParseError("'i' must be a list of [xi, eta, [members...]] triples")
-    for item in doc["i"]:
-        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int) and isinstance(item[1], int)):
-            raise ParseError(f"malformed i entry {item!r}")
-        x, y, members = item
-        if not x < y:
-            raise ParseError(f"i entry needs xi < eta, got {item!r}")
-        if (x, y) in i:
-            raise ParseError(f"duplicate i entry at ({x},{y})")
-        i[(x, y)] = frozenset(_as_int_list(members, f"i value at ({x},{y})"))
-    return Condition(a, h, i)
+    return Condition(_as_int_list(doc["a"], "'a'"), _point_sets(doc["h"], "h"), _pair_sets(doc["i"], "i"))
 
 
 def dump_space(space: SpaceModel) -> str:
@@ -126,28 +131,18 @@ def load_space(text: str) -> SpaceModel:
     doc = _loads(text, "space")
     if not isinstance(doc, dict) or set(doc) != {"kappa", "H", "i"}:
         raise ParseError("space document needs exactly the keys 'kappa', 'H' and 'i'")
-    kappa = doc["kappa"]
-    if not isinstance(kappa, int) or kappa < 1:
-        raise ParseError(f"kappa must be a positive integer, got {kappa!r}")
-    H: dict[int, frozenset[int]] = {}
-    if not isinstance(doc["H"], list):
-        raise ParseError("'H' must be a list of [alpha, [members...]] pairs")
-    for item in doc["H"]:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)):
-            raise ParseError(f"malformed H entry {item!r}")
-        H[item[0]] = frozenset(_as_int_list(item[1], f"H value at {item[0]}"))
+    kappa = _kappa(doc["kappa"])
+    H = _point_sets(doc["H"], "H")
     if set(H) != set(range(kappa)):
         raise ParseError("'H' must list every carrier ordinal exactly once")
-    i: dict[tuple[int, int], frozenset[int]] = {}
-    if not isinstance(doc["i"], list):
-        raise ParseError("'i' must be a list of [xi, eta, [members...]] triples")
-    for item in doc["i"]:
-        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int) and isinstance(item[1], int)):
-            raise ParseError(f"malformed i entry {item!r}")
-        x, y, members = item
-        if not x < y:
-            raise ParseError(f"i entry needs xi < eta, got {item!r}")
-        i[(x, y)] = frozenset(_as_int_list(members, f"i value at ({x},{y})"))
+    i = _pair_sets(doc["i"], "i")
+    carrier = frozenset(range(kappa))
+    for alpha, members in H.items():
+        if not members <= carrier:
+            raise ParseError(f"H value at {alpha} leaves the carrier 0..{kappa - 1}")
+    for (x, y), members in i.items():
+        if not {x, y} | members <= carrier:
+            raise ParseError(f"i entry at ({x},{y}) leaves the carrier 0..{kappa - 1}")
     return SpaceModel(kappa, H, i)
 
 
@@ -191,34 +186,3 @@ def load_schedule(text: str) -> list[Goal]:
         else:
             raise ParseError(f"schedule entry must be 'point' or 'nbhd': {item!r}")
     return goals
-
-
-def dump_layout(layout: InsertionLayout) -> str:
-    return to_text(
-        {
-            "S": sorted(layout.S),
-            "E": sorted(layout.E),
-            "F": sorted(layout.F),
-            "Q": sorted(layout.Q),
-            "gamma_pairs": [list(gp) for gp in layout.gamma_pairs],
-        }
-    )
-
-
-def load_layout(text: str) -> InsertionLayout:
-    doc = _loads(text, "layout")
-    keys = {"S", "E", "F", "Q", "gamma_pairs"}
-    if not isinstance(doc, dict) or set(doc) != keys:
-        raise ParseError(f"layout document needs exactly the keys {sorted(keys)}")
-    gp = doc["gamma_pairs"]
-    if not isinstance(gp, list) or not all(
-        isinstance(x, list) and len(x) == 2 and all(isinstance(g, int) for g in x) for x in gp
-    ):
-        raise ParseError("gamma_pairs must be a list of [g0, g1] integer pairs")
-    return InsertionLayout(
-        S=frozenset(_as_int_list(doc["S"], "S")),
-        E=frozenset(_as_int_list(doc["E"], "E")),
-        F=frozenset(_as_int_list(doc["F"], "F")),
-        Q=frozenset(_as_int_list(doc["Q"], "Q")),
-        gamma_pairs=tuple((x[0], x[1]) for x in gp),
-    )

@@ -29,7 +29,7 @@ from .errors import (
     ScatterlabError,
     StuckNoFreshPoint,
 )
-from .poset import Condition, basic_nbhd, extend_into_neighbourhood, extend_with_point, star
+from .poset import Condition, basic_nbhd, extend_into_neighbourhood, extend_with_point, h_union, star
 from .universe import PairFunction, pair
 
 
@@ -153,10 +153,7 @@ class SpaceModel:
 
     def nbhd(self, alpha: int, b: Iterable[int]) -> frozenset[int]:
         """``H(alpha)`` minus the union of ``H`` over ``b``."""
-        out = set(self.H[alpha])
-        for beta in b:
-            out -= self.H[beta]
-        return frozenset(out)
+        return self.H[alpha] - h_union(self.H, b)
 
 
 def assemble_space(sample: FilterSample) -> SpaceModel:
@@ -182,10 +179,7 @@ def check_star_containment(space: SpaceModel) -> tuple[bool, list[tuple[int, int
     union of ``H`` over their covering index."""
     bad: list[tuple[int, int]] = []
     for (x, y), idx in sorted(space.i.items()):
-        cover: set[int] = set()
-        for nu in idx:
-            cover |= space.H[nu]
-        if not star(space.H[x], space.H[y]) <= cover:
+        if not star(space.H[x], space.H[y]) <= h_union(space.H, idx):
             bad.append((x, y))
     return (not bad, bad)
 
@@ -194,14 +188,11 @@ def loc_comp_witnesses(space: SpaceModel) -> list[tuple[int, int]]:
     """Pairs violating the local-compactness hypothesis."""
     bad: list[tuple[int, int]] = []
     for (beta, alpha), idx in sorted(space.i.items()):
-        cover: set[int] = set()
-        for nu in idx:
-            cover |= space.H[nu]
         if beta in space.H[alpha]:
-            ok = space.H[beta] - space.H[alpha] <= cover
+            residue = space.H[beta] - space.H[alpha]
         else:
-            ok = space.H[beta] & space.H[alpha] <= cover
-        if not ok:
+            residue = space.H[beta] & space.H[alpha]
+        if not residue <= h_union(space.H, idx):
             bad.append((beta, alpha))
     return bad
 
@@ -227,13 +218,7 @@ def subbase_witnesses(space: SpaceModel, alpha: int) -> list[tuple[int, int]]:
         if not residue:
             continue
         idx = space.i.get(pair(alpha, gamma))
-        if idx is None:
-            bad.append((alpha, gamma))
-            continue
-        cover: set[int] = set()
-        for nu in idx:
-            cover |= space.H[nu]
-        if not residue <= cover:
+        if idx is None or not residue <= h_union(space.H, idx):
             bad.append((alpha, gamma))
     return bad
 
@@ -407,3 +392,13 @@ def fu_simulate(
             cur = FUCondition(cur.s, new_c)
             steps.append(FUSimStep(blk, None))
     return FUSimResult(tuple(acquired), tuple(steps), cur)
+
+
+def suffix_convergence(space: SpaceModel, alpha: int, steps: Sequence[FUSimStep]) -> bool:
+    """Every point acquired at or after a step lies in the basic
+    neighbourhood of ``alpha`` that avoids that step's block."""
+    for t, step in enumerate(steps):
+        u = space.nbhd(alpha, step.C)
+        if not all(s.acquired in u for s in steps[t:] if s.acquired is not None):
+            return False
+    return True

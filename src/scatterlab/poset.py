@@ -10,6 +10,10 @@ clause is (iv): ``h(xi) * h(eta)`` must be covered by the union of ``h`` over
 Extensions (``extend_with_point``, ``extend_into_neighbourhood``) produce
 strictly stronger conditions and witness the density facts the sampler in
 :mod:`scatterlab.generic` relies on.
+
+A trace (``restrict``) is a :class:`Condition` on a domain subset plus an
+``is_condition`` flag; it compares equal to the :class:`Condition` with the
+same triple, and the extension order on traces is ``leq`` itself.
 """
 
 from __future__ import annotations
@@ -106,12 +110,16 @@ class Condition:
         return f"Condition(a={list(self.a)})"
 
 
-def h_union(p: Condition, over: Iterable[int]) -> frozenset[int]:
-    """Union of ``h`` over a subset of the domain."""
+def h_union(h: Mapping[int, frozenset[int]], over: Iterable[int]) -> set[int]:
+    """Union of the sets ``h[nu]`` for ``nu`` in ``over``: the cover that clause
+    (iv) and its descendants test against.  ``h`` is a condition's ``h`` or a
+    space's ``H``; an index where ``h`` is undefined adds nothing, which lets
+    the validator measure covers of a condition whose ``h`` is partial."""
     out: set[int] = set()
     for nu in over:
-        out |= p.h[nu]
-    return frozenset(out)
+        if nu in h:
+            out |= h[nu]
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,9 +179,10 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
         elif not p.i[k] <= dom:
             out.append(Violation("i", k, f"i{k} not inside the domain"))
 
+    # Points where clause (ii) holds; star is defined on their h-values.
+    settled = {xi for xi, hv in p.h.items() if hv and max(hv) == xi}
     for xi in p.a:
-        hv = p.h.get(xi)
-        if hv is not None and (not hv or max(hv) != xi):
+        if xi in p.h and xi not in settled:
             out.append(Violation("ii", (xi,), f"max h({xi}) != {xi}"))
 
     for x, y in sorted(expected_pairs):
@@ -181,16 +190,10 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
         if iv is not None and not iv <= f.value(x, y):
             out.append(Violation("iii", (x, y), f"i{(x, y)} exceeds f{(x, y)}"))
 
-    def clause_ii_holds(xi: int) -> bool:
-        hv = p.h.get(xi)
-        return hv is not None and bool(hv) and max(hv) == xi
-
     for x, y in sorted(expected_pairs):
-        if not (clause_ii_holds(x) and clause_ii_holds(y)):
-            continue  # already reported under (ii); star may be undefined
-        iv = p.i.get((x, y), frozenset())
-        cover = frozenset().union(*(p.h[nu] for nu in iv if nu in p.h)) if iv else frozenset()
-        uncovered = star(p.h[x], p.h[y]) - cover
+        if not (x in settled and y in settled):
+            continue  # already reported under (i) or (ii); star may be undefined
+        uncovered = star(p.h[x], p.h[y]) - h_union(p.h, p.i.get((x, y), ()))
         if uncovered:
             out.append(Violation("iv", (x, y), f"star not covered at {(x, y)}: {sorted(uncovered)}"))
 
@@ -223,53 +226,40 @@ def basic_nbhd(p: Condition, alpha: int, b: Iterable[int]) -> frozenset[int]:
         raise AlphaNotInDomain(f"{alpha} not in domain {list(p.a)}")
     if not bs <= frozenset(x for x in p.a if x < alpha):
         raise BNotBelowAlpha(f"b={sorted(bs)} is not a domain subset below {alpha}")
-    return p.h[alpha] - h_union(p, bs)
+    return p.h[alpha] - h_union(p.h, bs)
 
 
-@dataclass(frozen=True, eq=False)
-class RestrictedCondition:
-    """Trace of a condition on a domain subset.
+class RestrictedCondition(Condition):
+    """Trace of a condition on a domain subset: a :class:`Condition` whose
+    domain ``a`` is the subset, plus the ``is_condition`` flag.
 
-    ``h`` values are intersected with ``b``; ``i`` values are kept whole, so
+    ``h`` values are intersected with ``a``; ``i`` values are kept whole, so
     the trace is a genuine condition exactly when every kept ``i``-value lies
-    inside ``b`` (the ``is_condition`` flag).
+    inside ``a`` (the ``is_condition`` flag).  Equality and hashing are those
+    of the triple, so a trace compares equal to a :class:`Condition` with the
+    same ``(a, h, i)``.
     """
 
-    b: tuple[int, ...]
-    h: dict[int, frozenset[int]]
-    i: dict[tuple[int, int], frozenset[int]]
-    origin: Condition
-    is_condition: bool
+    __slots__ = ("is_condition",)
 
     def as_condition(self) -> Condition:
         if not self.is_condition:
-            raise NotSubset(f"trace on {list(self.b)} keeps i-values outside the base")
-        return Condition(self.b, self.h, self.i)
-
-    def key(self):
-        return (
-            self.b,
-            tuple(sorted((xi, tuple(sorted(v))) for xi, v in self.h.items())),
-            tuple(sorted((k, tuple(sorted(v))) for k, v in self.i.items())),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, RestrictedCondition):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+            raise NotSubset(f"trace on {list(self.a)} keeps i-values outside the base")
+        return Condition(self.a, self.h, self.i)
 
 
 def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
     bs = frozenset(b)
     if not bs <= set(p.a):
         raise NotSubset(f"{sorted(bs)} is not a subset of the domain {list(p.a)}")
-    h = {xi: p.h[xi] & bs for xi in sorted(bs)}
-    i = {k: v for k, v in p.i.items() if k[0] in bs and k[1] in bs}
-    flag = all(v <= bs for v in i.values())
-    return RestrictedCondition(tuple(sorted(bs)), h, i, p, flag)
+    # The slots are filled directly: this is the hot path of the poset suite,
+    # and the values are already in the shape Condition.__init__ would make.
+    r = RestrictedCondition.__new__(RestrictedCondition)
+    r.a = tuple(sorted(bs))
+    r.h = {xi: p.h[xi] & bs for xi in r.a}
+    r.i = {k: v for k, v in p.i.items() if k[0] in bs and k[1] in bs}
+    r.is_condition = all(v <= bs for v in r.i.values())
+    return r
 
 
 def as_restriction(p: Condition) -> RestrictedCondition:
@@ -278,18 +268,9 @@ def as_restriction(p: Condition) -> RestrictedCondition:
 
 
 def leq_restricted(r1: RestrictedCondition, r2: RestrictedCondition) -> bool:
-    """The extension order carried over to traces; on full traces it agrees
-    with :func:`leq`."""
-    base2 = frozenset(r2.b)
-    if not base2 <= frozenset(r1.b):
-        return False
-    for xi in r2.b:
-        if r1.h[xi] & base2 != r2.h[xi] & base2:
-            return False
-    for x, y in combinations(r2.b, 2):
-        if r1.i[pair(x, y)] != r2.i[pair(x, y)]:
-            return False
-    return True
+    """The extension order carried over to traces.  A trace's ``h``-values
+    already lie inside its domain, so this is :func:`leq` on the triples."""
+    return leq(r1, r2)
 
 
 def precedes(p: Condition, p_prime: Condition, max_domain: int = 16) -> bool:

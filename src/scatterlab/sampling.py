@@ -10,7 +10,7 @@ objects against the independent validity checks.
 from __future__ import annotations
 
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .amalgam import InsertionLayout
@@ -23,7 +23,7 @@ from .generic import (
     assemble_space,
     sample_filter,
 )
-from .poset import Condition, extend_into_neighbourhood, extend_with_point, star
+from .poset import Condition, extend_into_neighbourhood, extend_with_point, h_union, star
 from .universe import PairFunction, pair, random_pair_function
 
 
@@ -102,10 +102,7 @@ def iter_conditions(f: PairFunction, domain: Sequence[int]) -> Iterator[Conditio
             room = sorted(f.value(x, y) & frozenset(dom))
             choices: list[frozenset[int]] = []
             for sub in _subsets(room):
-                cover: set[int] = set()
-                for nu in sub:
-                    cover |= h[nu]
-                if st <= cover:
+                if st <= h_union(h, sub):
                     choices.append(frozenset(sub))
                     break
             if not choices:
@@ -119,11 +116,6 @@ def iter_conditions(f: PairFunction, domain: Sequence[int]) -> Iterator[Conditio
             continue
         for ivals in product(*per_pair):
             yield Condition(dom, h, dict(zip(pairs, ivals)))
-
-
-def enumerate_conditions(f: PairFunction, domain: Sequence[int], cap: int) -> list[Condition]:
-    """Canonical prefix of :func:`iter_conditions`."""
-    return list(islice(iter_conditions(f, domain), cap))
 
 
 def good_twin_pair(

@@ -187,12 +187,11 @@ def _poset_laws_trial(payload: tuple) -> _Tally:
                 tally.hit("flag-matches-criterion", rc.is_condition == criterion, note(p, b=list(b)))
                 if b == tuple(below[: len(b)]):
                     tally.hit("initial-segment-is-condition", rc.is_condition, note(p, b=list(b)))
-                as_cond = Condition(rc.b, rc.h, rc.i)
-                valid = poset.validate_condition(f, as_cond).ok
+                valid = poset.validate_condition(f, rc).ok
                 tally.hit("flag-iff-valid", rc.is_condition == valid, note(p, b=list(b)))
                 if rc.is_condition:
-                    tally.hit("restriction-below", poset.leq(p, as_cond), note(p, b=list(b)))
-                    agrees = poset.leq_restricted(poset.as_restriction(p), rc) == poset.leq(p, as_cond)
+                    tally.hit("restriction-below", poset.leq(p, rc), note(p, b=list(b)))
+                    agrees = poset.leq_restricted(poset.as_restriction(p), rc) == poset.leq(p, rc)
                     tally.hit("leq-restricted-agrees", agrees, note(p, b=list(b)))
         # transitivity along nested restriction chains
         for _ in range(3):
@@ -302,7 +301,7 @@ def _insertion_trial(payload: tuple) -> _Tally:
     tally.hit("(a)-below-s-trace", poset.leq_restricted(poset.as_restriction(r), s_trace), wit)
     qe_trace = poset.restrict(s, layout.Q | layout.E)
     tally.hit("(b)-below-qe-trace", poset.leq_restricted(poset.as_restriction(r), qe_trace), wit)
-    c_block = layout.S - poset.h_union(s, layout.Q | layout.E)
+    c_block = layout.S - poset.h_union(s.h, layout.Q | layout.E)
     tally.hit("(c)-block-inserted", c_block <= r.h[layout.gammas[0]], {**wit, "C": sorted(c_block)})
     se = poset.restrict(s, layout.S | layout.E).as_condition()
     tally.hit("(d)-refines", poset.precedes(se, r), wit)
@@ -532,16 +531,7 @@ def _fu_sim_trial(payload: tuple) -> _Tally:
     tally = _Tally()
     tally.hit("acquired-from-A", set(res.points) <= set(a_set), wit)
     tally.hit("acquired-distinct", len(set(res.points)) == len(res.points), wit)
-    suffix_ok = True
-    acc: list[tuple[frozenset[int], int]] = [
-        (step.C, step.acquired) for step in res.steps
-    ]
-    for t, (block, _) in enumerate(acc):
-        later = [x for _, x in acc[t:] if x is not None]
-        u = space.nbhd(alpha, block)
-        if not all(x in u for x in later):
-            suffix_ok = False
-    tally.hit("suffix-convergence", suffix_ok, wit)
+    tally.hit("suffix-convergence", generic.suffix_convergence(space, alpha, res.steps), wit)
     return tally
 
 

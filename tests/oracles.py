@@ -55,6 +55,36 @@ def oracle_good_pair(f, x, y) -> bool:
     return True
 
 
+def oracle_twins(p, q) -> bool:
+    """Twins from the definition: the unique order-preserving bijection between
+    the domains fixes every shared point and carries ``h`` and ``i`` of ``p``
+    onto those of ``q``."""
+    if len(p.a) != len(q.a):
+        return False
+    e = dict(zip(sorted(p.a), sorted(q.a)))
+    if any(e[x] != x for x in set(p.a) & set(q.a)):
+        return False
+    for x in p.a:
+        if {e[v] for v in p.h[x]} != set(q.h[e[x]]):
+            return False
+    for x, y in combinations(sorted(p.a), 2):
+        if {e[v] for v in p.i[(x, y)]} != set(q.i[(e[x], e[y])]):
+            return False
+    return True
+
+
+def oracle_good_twins(f, p, q) -> bool:
+    """Good twins from the definition: twins that agree on ``i`` over the
+    shared pairs, whose domains form a good pair for ``f``.  With ``f`` None
+    the good-pair requirement is left out."""
+    if not oracle_twins(p, q):
+        return False
+    shared = sorted(set(p.a) & set(q.a))
+    if any(set(p.i[(x, y)]) != set(q.i[(x, y)]) for x, y in combinations(shared, 2)):
+        return False
+    return f is None or oracle_good_pair(f, p.a, q.a)
+
+
 def oracle_validate(f, p) -> list[str]:
     """Clause-by-clause condition check, distinct from the library's
     validator and from every constructor under test."""

@@ -151,7 +151,7 @@ def test_criterion_5_insertion():
             failures.append((trial, "(a)"))
         if not leq_restricted(as_restriction(r), restrict(s, layout.Q | layout.E)):
             failures.append((trial, "(b)"))
-        if not layout.S - h_union(s, layout.Q | layout.E) <= r.h[layout.gammas[0]]:
+        if not layout.S - h_union(s.h, layout.Q | layout.E) <= r.h[layout.gammas[0]]:
             failures.append((trial, "(c)"))
         if not precedes(restrict(s, layout.S | layout.E).as_condition(), r):
             failures.append((trial, "(d)"))

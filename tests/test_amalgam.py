@@ -27,7 +27,7 @@ from scatterlab.sampling import good_twin_pair, insertion_instance
 from scatterlab.suites import g_well_defined
 from scatterlab.universe import PairFunction, random_pair_function
 
-from oracles import oracle_validate
+from oracles import oracle_good_twins, oracle_twins, oracle_validate
 
 WORKED_F = PairFunction.build(4, {(1, 2): {0}})
 P = Condition([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
@@ -83,6 +83,62 @@ class TestGoodTwins:
         violations = good_twin_violations(f, p, q)
         assert any(v.startswith("1(ii)") for v in violations)
         assert any(v.startswith("2 ") for v in violations)
+
+
+def perturbed(q: Condition, rng: random.Random) -> Condition:
+    """``q`` with one member of one ``h``-value or one ``i``-value toggled."""
+    h, i = dict(q.h), dict(q.i)
+    if i and rng.random() < 0.5:
+        k = rng.choice(sorted(i))
+        i[k] = i[k] ^ {rng.choice(q.a)}
+    else:
+        xi = rng.choice(q.a)
+        h[xi] = h[xi] ^ {rng.choice([x for x in q.a if x < xi] or [xi])}
+    return Condition(q.a, h, i)
+
+
+def twin_oracle_cases():
+    """Sampled good-twin pairs, the same pairs over the unrepaired pair
+    function, the pairs with one value of ``q`` perturbed, and twins that
+    disagree on ``i`` over a shared pair."""
+    rng = random.Random(21)
+    cases = []
+    for t in range(120):
+        f = random_pair_function(rng.randint(8, 20), rng.choice((0.1, 0.5, 0.9)), t)
+        f2, p, q = good_twin_pair(f, rng, rng.randint(0, 6))
+        cases += [(f2, p, q), (f, p, q)]
+        if q.a:
+            cases.append((f2, p, perturbed(q, rng)))
+    # A shared pair whose i-values hold private points: twins failing clause 2 alone.
+    p = Condition([0, 2, 3], {0: {0}, 2: {2}, 3: {3}}, {(0, 2): set(), (0, 3): set(), (2, 3): {0}})
+    q = Condition([1, 2, 3], {1: {1}, 2: {2}, 3: {3}}, {(1, 2): set(), (1, 3): set(), (2, 3): {1}})
+    cases.append((random_pair_function(4, 1.0, 0), p, q))
+    return cases
+
+
+class TestTwinOracle:
+    def test_checker_agrees_with_oracle(self):
+        cases = twin_oracle_cases()
+        outcomes = set()
+        for f, p, q in cases:
+            good = oracle_good_twins(f, p, q)
+            assert (good_twin_violations(f, p, q) == []) == good
+            assert (are_twins(p, q) is not None) == oracle_twins(p, q)
+            outcomes.add((good, oracle_twins(p, q)))
+        # every branch occurs: good twins, twins over a bad pair, non-twins
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_membership_equiv_without_f_checks_clauses_1_and_2(self):
+        seen = set()
+        for _, p, q in twin_oracle_cases():
+            try:
+                verify_membership_equiv(p, q)
+                raised = False
+            except NotGoodTwins:
+                raised = True
+            assert raised == (not oracle_good_twins(None, p, q))
+            seen.add(raised)
+        assert seen == {True, False}
 
 
 class TestDelta:
@@ -175,7 +231,7 @@ class TestInsertion:
             assert not oracle_validate(f, r)
             assert leq_restricted(as_restriction(r), restrict(s, layout.S))
             assert leq_restricted(as_restriction(r), restrict(s, layout.Q | layout.E))
-            c_block = layout.S - h_union(s, layout.Q | layout.E)
+            c_block = layout.S - h_union(s.h, layout.Q | layout.E)
             assert c_block <= r.h[layout.gammas[0]]
             se = restrict(s, layout.S | layout.E).as_condition()
             assert precedes(se, r)
@@ -186,11 +242,11 @@ class TestInsertion:
         # covering index relabelled
         rng = random.Random(5)
         f, s, layout = insertion_instance(rng, kappa=20, k=1, q_size=3, extra_points=0)
-        c_block = layout.S - h_union(s, layout.Q | layout.E)
+        c_block = layout.S - h_union(s.h, layout.Q | layout.E)
         assert c_block == frozenset()
         r = insertion_construction(f, s, layout)
         trace = restrict(s, layout.S | layout.E)
-        assert r.a == trace.b
+        assert r.a == trace.a
         assert r.h == trace.h
 
     def test_layout_violations_rejected(self):

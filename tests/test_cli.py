@@ -271,8 +271,9 @@ def test_bad_density_is_an_input_error(command, density, capsys):
         (["--suite", "twins-amalgam", "--trials", "2", "--jobs", "0"], "--jobs must be at least 1"),
         (["--suite", "twins-amalgam", "--kappa", "3"], "at least 8"),
         (["--suite", "poset-laws", "--f", "{negative_f}"], "pair (-1,2)"),
+        (["--suite", "twins-amalgam", "--kappa", "100", "--trials", "1"], "between 1 and 64"),
     ],
-    ids=["trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal"],
+    ids=["trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal", "kappa-cap"],
 )
 def test_bad_props_input_is_an_input_error(flags, named, tmp_path, capsys):
     negative_f = write(tmp_path, "f.json", {"kappa": 4, "f": [[-1, 2, []]]})
@@ -282,6 +283,52 @@ def test_bad_props_input_is_an_input_error(flags, named, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+
+
+GOOD_SPACE = {
+    "kappa": 3,
+    "H": [[0, [0]], [1, [1]], [2, [0, 2]]],
+    "i": [[0, 1, []], [0, 2, []], [1, 2, [0]]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("close", {"kappa": True, "f": []}, "kappa must be a positive integer"),
+        ("check-space", {**GOOD_SPACE, "kappa": True}, "kappa must be a positive integer"),
+        ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 2, []], [1, 2, [99]]]}, "i entry at (1,2)"),
+        ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 2, []], [1, 9, []]]}, "i entry at (1,9)"),
+        ("check-space", {**GOOD_SPACE, "H": [[0, [0]], [1, [-1, 1]], [2, [0, 2]]]}, "H value at 1"),
+        ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 1, [0]], [0, 2, []]]}, "duplicate i entry"),
+        ("check-space", {**GOOD_SPACE, "H": [[0, [0]], [1, [1]], [1, [1]], [2, [0, 2]]]}, "duplicate H entry"),
+    ],
+    ids=["f-kappa-bool", "space-kappa-bool", "i-member", "i-key", "H-member", "duplicate-i", "duplicate-H"],
+)
+def test_bad_space_or_pair_function_file_is_an_input_error(command, doc, named, tmp_path, capsys):
+    path = write(tmp_path, "input.json", doc)
+    argv = ["close", "--f", path, "--base", "1"] if command == "close" else ["check-space", "--space", path]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["twins", "amalgamate"])
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_invalid_twin_input_is_an_input_error(command, flag, tmp_path, capsys):
+    partial = {**WORKED_Q, "h": [[0, [0]]]}  # h undefined at 2
+    files = {"--p": WORKED_P, "--q": WORKED_Q, flag: partial}
+    argv = [command, "--f", write(tmp_path, "f.json", WORKED_F)]
+    for name, doc in files.items():
+        argv += [name, write(tmp_path, name.strip("-") + ".json", doc)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag} is not a valid condition") and err.count("\n") == 1
+    assert "clauses i " in err
 
 
 def test_twins_kappa_minimum_applies_only_without_f(tmp_path, capsys):

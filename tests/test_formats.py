@@ -2,16 +2,13 @@ import random
 
 import pytest
 
-from scatterlab.amalgam import InsertionLayout
 from scatterlab.errors import ParseError
 from scatterlab.formats import (
     dump_condition,
-    dump_layout,
     dump_pair_function,
     dump_schedule,
     dump_space,
     load_condition,
-    load_layout,
     load_pair_function,
     load_schedule,
     load_space,
@@ -56,16 +53,6 @@ class TestRoundTrips:
             PointGoal(1),
         ]
         assert load_schedule(dump_schedule(goals)) == goals
-
-    def test_layout(self):
-        layout = InsertionLayout(
-            S=frozenset({0, 1}),
-            E=frozenset({4}),
-            F=frozenset({6, 7}),
-            Q=frozenset({0}),
-            gamma_pairs=((6, 7),),
-        )
-        assert load_layout(dump_layout(layout)) == layout
 
     def test_dump_is_stable(self):
         f = random_pair_function(7, 0.4, 4)

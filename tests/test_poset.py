@@ -222,7 +222,7 @@ class TestRestrict:
                     trace = restrict(p, b)
                     criterion = all(v <= frozenset(b) for v in trace.i.values())
                     assert trace.is_condition == criterion
-                    built = Condition(trace.b, trace.h, trace.i)
+                    built = Condition(trace.a, trace.h, trace.i)
                     assert trace.is_condition == validate_condition(f, built).ok
                     assert trace.is_condition == (not oracle_validate(f, built))
 
