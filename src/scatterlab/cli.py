@@ -208,7 +208,7 @@ def cmd_lower_bound(args) -> int:
     f = formats.load_pair_function(ftext)
     groups = _int_set_list(args.groups)
     bound = _int_set(args.bound)
-    found = universe.search_common_lower_bound(f, groups, bound, args.n)
+    found = universe.search_common_lower_bound(f, groups, bound, _check_at_least("--n", args.n, 1))
     _emit(
         {
             "command": "lower-bound",
@@ -296,12 +296,24 @@ def cmd_fu_sim(args) -> int:
     return EXIT_OK if suffix_ok else EXIT_FAIL
 
 
+# Suites that build all their pair functions themselves, so --f would be ignored.
+_SUITES_WITHOUT_F = set(suites.SUITES) - {"poset-laws", "twins-amalgam"}
+# The --kappa a suite honours without --f: twins-amalgam draws kappa from 8 up,
+# insertion's largest layout needs 14 ordinals, space-checks draws from 4 to 16.
+_SUITE_KAPPA = {"twins-amalgam": (8, MAX_KAPPA), "insertion": (14, MAX_KAPPA), "space-checks": (4, 16)}
+
+
 def cmd_props(args) -> int:
     _check_kappa(args.kappa)
     _check_density(args.density)
     _check_at_least("--jobs", args.jobs, 1)
-    if args.suite == "twins-amalgam" and not args.f:
-        _check_at_least("--kappa for suite twins-amalgam", args.kappa, 8)
+    if args.f and args.suite in _SUITES_WITHOUT_F:
+        raise ParseError(f"suite {args.suite} does not read --f")
+    if args.suite in _SUITE_KAPPA and not args.f:
+        least, most = _SUITE_KAPPA[args.suite]
+        _check_at_least(f"--kappa for suite {args.suite}", args.kappa, least)
+        if args.kappa > most:
+            raise ParseError(f"--kappa for suite {args.suite} must be at most {most}, got {args.kappa}")
     f = None
     inputs: dict = {"suite": args.suite}
     if args.f:

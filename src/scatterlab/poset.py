@@ -152,12 +152,12 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
       intersection with ``a``).
     * (iv) ``h(xi) * h(eta)`` is covered by the union of ``h`` over
       ``i{xi,eta}``.
+
+    ``p.a`` is a sorted tuple of distinct ordinals (``Condition`` and
+    ``restrict`` both make it so), so ``combinations(p.a, 2)`` yields the
+    canonical pair keys of ``i`` and ``f``.
     """
-    f.check_members(p.a)
-    for v in p.h.values():
-        f.check_members(v)
-    for v in p.i.values():
-        f.check_members(v)
+    f.check_members(p.a, *p.h.values(), *p.i.values())
     dom = frozenset(p.a)
     out: list[Violation] = []
 
@@ -169,7 +169,8 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
     for xi in p.h:
         if xi not in dom:
             out.append(Violation("i", (xi,), f"h defined outside the domain at {xi}"))
-    expected_pairs = {pair(x, y) for x, y in combinations(p.a, 2)}
+    pairs = list(combinations(p.a, 2))
+    expected_pairs = set(pairs)
     for k in p.i:
         if k not in expected_pairs:
             out.append(Violation("i", k, f"i defined at non-domain pair {k}"))
@@ -185,12 +186,12 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
         if xi in p.h and xi not in settled:
             out.append(Violation("ii", (xi,), f"max h({xi}) != {xi}"))
 
-    for x, y in sorted(expected_pairs):
+    for x, y in pairs:
         iv = p.i.get((x, y))
-        if iv is not None and not iv <= f.value(x, y):
+        if iv is not None and not iv <= f.values[(x, y)]:
             out.append(Violation("iii", (x, y), f"i{(x, y)} exceeds f{(x, y)}"))
 
-    for x, y in sorted(expected_pairs):
+    for x, y in pairs:
         if not (x in settled and y in settled):
             continue  # already reported under (i) or (ii); star may be undefined
         uncovered = star(p.h[x], p.h[y]) - h_union(p.h, p.i.get((x, y), ()))
@@ -205,15 +206,18 @@ def leq(p: Condition, q: Condition) -> bool:
 
     Requires the larger domain, exact trace of ``h`` on the old domain, and
     agreement of ``i`` on the old pairs.  Both arguments are assumed valid
-    over the same pair function.
+    over the same pair function.  ``q.a`` is a sorted tuple of distinct
+    ordinals, so the tuples of ``combinations(q.a, 2)`` are already the
+    canonical keys of ``i``.
     """
-    if not set(q.a) <= set(p.a):
+    qa = frozenset(q.a)
+    if not qa.issubset(p.a):
         return False
     for xi in q.a:
-        if p.h[xi] & frozenset(q.a) != q.h[xi]:
+        if p.h[xi] & qa != q.h[xi]:
             return False
-    for x, y in combinations(q.a, 2):
-        if p.i_value(x, y) != q.i_value(x, y):
+    for k in combinations(q.a, 2):
+        if p.i[k] != q.i[k]:
             return False
     return True
 
@@ -249,8 +253,11 @@ class RestrictedCondition(Condition):
 
 
 def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
+    """The trace of ``p`` on ``b``.  Its ``a`` is sorted and free of repeats,
+    like every condition's, so its pairs in ``combinations(a, 2)`` order are
+    the canonical keys of ``i``."""
     bs = frozenset(b)
-    if not bs <= set(p.a):
+    if not bs.issubset(p.a):
         raise NotSubset(f"{sorted(bs)} is not a subset of the domain {list(p.a)}")
     # The slots are filled directly: this is the hot path of the poset suite,
     # and the values are already in the shape Condition.__init__ would make.
@@ -258,7 +265,7 @@ def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
     r.a = tuple(sorted(bs))
     r.h = {xi: p.h[xi] & bs for xi in r.a}
     r.i = {k: v for k, v in p.i.items() if k[0] in bs and k[1] in bs}
-    r.is_condition = all(v <= bs for v in r.i.values())
+    r.is_condition = all(map(bs.issuperset, r.i.values()))
     return r
 
 

@@ -11,6 +11,7 @@ in trial order.  A check that passes leaves only a count behind.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -95,11 +96,18 @@ class _Tally:
         return sorted(self.witnesses, key=lambda w: (w.get("trial", -1), w["property"]))
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` trials: ``jobs``, but never more than
+    there are CPUs or trials."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def _pmap(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
     """``fn`` over ``payloads``, yielded in order as results arrive."""
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            yield from ex.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * jobs)))
+    workers = _workers(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            yield from ex.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * workers)))
     else:
         yield from map(fn, payloads)
 
@@ -180,19 +188,22 @@ def _poset_laws_trial(payload: tuple) -> _Tally:
     for p in pool:
         tally.hit("reflexive", poset.leq(p, p), note(p))
         below = list(p.a)
+        whole = poset.as_restriction(p)
         for r in range(len(below) + 1):
             for b in combinations(below, r):
                 rc = poset.restrict(p, b)
-                criterion = all(v <= frozenset(b) for v in rc.i.values())
-                tally.hit("flag-matches-criterion", rc.is_condition == criterion, note(p, b=list(b)))
+                wit = note(p, b=list(b))  # hit copies it, so the checks share it
+                bs = frozenset(b)
+                criterion = all(v <= bs for v in rc.i.values())
+                tally.hit("flag-matches-criterion", rc.is_condition == criterion, wit)
                 if b == tuple(below[: len(b)]):
-                    tally.hit("initial-segment-is-condition", rc.is_condition, note(p, b=list(b)))
+                    tally.hit("initial-segment-is-condition", rc.is_condition, wit)
                 valid = poset.validate_condition(f, rc).ok
-                tally.hit("flag-iff-valid", rc.is_condition == valid, note(p, b=list(b)))
+                tally.hit("flag-iff-valid", rc.is_condition == valid, wit)
                 if rc.is_condition:
-                    tally.hit("restriction-below", poset.leq(p, rc), note(p, b=list(b)))
-                    agrees = poset.leq_restricted(poset.as_restriction(p), rc) == poset.leq(p, rc)
-                    tally.hit("leq-restricted-agrees", agrees, note(p, b=list(b)))
+                    is_below = poset.leq(p, rc)
+                    tally.hit("restriction-below", is_below, wit)
+                    tally.hit("leq-restricted-agrees", poset.leq_restricted(whole, rc) == is_below, wit)
         # transitivity along nested restriction chains
         for _ in range(3):
             if not p.a:

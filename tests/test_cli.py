@@ -153,6 +153,14 @@ class TestCloseAndLowerBound:
         f = write(tmp_path, "f.json", {"kappa": 7, "f": []})
         assert main(["lower-bound", "--f", f, "--groups", "3,4|4", "--bound", "", "--n", "1"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_lower_bound_n_below_one_is_an_input_error(self, n, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"kappa": 8, "f": []})
+        code = main(["lower-bound", "--f", f, "--groups", "5,6|7", "--n", n])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: --n must be at least 1, got {n}\n"
+
 
 class TestSampleSpace:
     def test_point_schedule(self, tmp_path, capsys):
@@ -272,12 +280,26 @@ def test_bad_density_is_an_input_error(command, density, capsys):
         (["--suite", "twins-amalgam", "--kappa", "3"], "at least 8"),
         (["--suite", "poset-laws", "--f", "{negative_f}"], "pair (-1,2)"),
         (["--suite", "twins-amalgam", "--kappa", "100", "--trials", "1"], "between 1 and 64"),
+        (["--suite", "insertion", "--kappa", "12", "--trials", "40"], "--kappa for suite insertion must be at least 14"),
+        (["--suite", "insertion", "--kappa", "13", "--trials", "40"], "--kappa for suite insertion must be at least 14"),
+        (["--suite", "space-checks", "--kappa", "64", "--trials", "1"], "space-checks must be at most 16"),
+        (["--suite", "space-checks", "--kappa", "3", "--trials", "1"], "space-checks must be at least 4"),
+        (["--suite", "insertion", "--trials", "2", "--f", "{good_f}"], "insertion does not read --f"),
+        (["--suite", "space-checks", "--trials", "2", "--f", "{good_f}"], "space-checks does not read --f"),
+        (["--suite", "closure-laws", "--trials", "2", "--f", "{good_f}"], "closure-laws does not read --f"),
+        (["--suite", "fu-laws", "--trials", "2", "--f", "{good_f}"], "fu-laws does not read --f"),
+        (["--suite", "star-laws", "--trials", "2", "--f", "{good_f}"], "star-laws does not read --f"),
     ],
-    ids=["trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal", "kappa-cap"],
+    ids=[
+        "trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal", "kappa-cap",
+        "insertion-kappa-12", "insertion-kappa-13", "space-checks-kappa-64", "space-checks-kappa-3",
+        "insertion-f", "space-checks-f", "closure-laws-f", "fu-laws-f", "star-laws-f",
+    ],
 )
 def test_bad_props_input_is_an_input_error(flags, named, tmp_path, capsys):
     negative_f = write(tmp_path, "f.json", {"kappa": 4, "f": [[-1, 2, []]]})
-    code = main(["props", *(flag.format(negative_f=negative_f) for flag in flags)])
+    good_f = write(tmp_path, "g.json", {"kappa": 12, "f": [[4, 5, [0, 1]], [5, 8, [2]]]})
+    code = main(["props", *(flag.format(negative_f=negative_f, good_f=good_f) for flag in flags)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

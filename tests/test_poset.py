@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from scatterlab.poset import (
     validate_condition,
 )
 from scatterlab.sampling import iter_conditions, random_condition
+from scatterlab.suites import _POSET_CAP_PER_DOMAIN, _POSET_DOMAIN, derive_seed
 from scatterlab.universe import PairFunction, random_pair_function
 
 from oracles import oracle_leq, oracle_star, oracle_validate
@@ -392,3 +394,110 @@ class TestEnumerator:
                 brute += 1
                 assert p in enumerated
         assert len(enumerated) == brute
+
+
+def poset_laws_pool(trial):
+    """The pair function and condition pool of ``poset-laws`` trial ``trial``
+    at seed 0: every domain in the suite's carrier, capped per domain."""
+    density = (0.0, 0.3, 0.6, 1.0)[trial]
+    f = random_pair_function(len(_POSET_DOMAIN), density, derive_seed(0, trial, "poset-f"))
+    pool = [
+        p
+        for r in range(len(_POSET_DOMAIN) + 1)
+        for dom in combinations(_POSET_DOMAIN, r)
+        for p in islice(iter_conditions(f, dom), _POSET_CAP_PER_DOMAIN)
+    ]
+    return f, pool
+
+
+# Library clauses against the oracle's: the oracle stops at the first failing
+# stage ((i), then (ii), then (iii) and (iv) together); the library names all.
+STAGE = {"i": 0, "ii": 1, "iii": 2, "iv": 2}
+
+
+def assert_clauses_agree(f, p):
+    lib = validate_condition(f, p).clauses()
+    found = sorted({problem.split(":")[0] for problem in oracle_validate(f, p)})
+    first = min((STAGE[c] for c in lib), default=None)
+    assert found == [c for c in lib if STAGE[c] == first], (p.a, p.h, p.i)
+
+
+class TestKernelsOnPosetLawsPool:
+    """``validate_condition``, ``restrict`` and ``leq`` against the oracles on
+    every condition of the ``poset-laws`` pool and every trace of it."""
+
+    @pytest.mark.parametrize("trial", range(4), ids=["density-0", "density-0.3", "density-0.6", "density-1"])
+    def test_validate_and_leq_match_oracles(self, trial):
+        f, pool = poset_laws_pool(trial)
+        rng = random.Random(trial)
+        traces = not_conditions = 0
+        for p in pool:
+            assert_clauses_agree(f, p)
+            for r in range(len(p.a) + 1):
+                for b in combinations(p.a, r):
+                    rc = restrict(p, b)
+                    traces += 1
+                    not_conditions += not rc.is_condition
+                    assert_clauses_agree(f, rc)
+                    assert leq(p, rc) == oracle_leq(p, rc)
+                    assert leq(rc, p) == oracle_leq(rc, p)
+        by_domain = {}
+        for p in pool:
+            by_domain.setdefault(p.a, []).append(p)
+        for group in by_domain.values():
+            for _ in range(8):
+                p, q = rng.choice(group), rng.choice(group)
+                assert leq(p, q) == oracle_leq(p, q)
+        assert traces > len(pool)
+        if trial:  # with an empty pair function every trace is a condition
+            assert not_conditions > 0
+
+
+PIN_F = random_pair_function(8, 0.5, 11)
+
+
+def singles(dom):
+    return {x: {x} for x in dom}
+
+
+def empty_i(dom):
+    return {k: () for k in combinations(dom, 2)}
+
+
+# Invalid conditions over PIN_F, one failure shape each.
+INVALID = [
+    # h partial
+    Condition([0, 2, 5], {0: {0}}, empty_i([0, 2, 5])),
+    # i missing at every pair
+    Condition([0, 1, 3, 4, 6, 7], singles([0, 1, 3, 4, 6, 7]), {}),
+    # i at non-domain pairs, the one domain pair kept
+    Condition([1, 4], singles([1, 4]), {(1, 4): (), (0, 1): (), (2, 6): (), (4, 7): ()}),
+    # i missing at some pairs and extra at others
+    Condition([0, 2, 3, 5, 6], singles([0, 2, 3, 5, 6]),
+              {(0, 2): (), (1, 3): (), (3, 6): (), (5, 7): (), (2, 5): ()}),
+    # i-values outside the domain
+    Condition([2, 5, 6], singles([2, 5, 6]), {(2, 5): {0}, (2, 6): (), (5, 6): {1, 2}}),
+    # h defined outside the domain, an h-value outside the domain
+    Condition([3, 4], {3: {1, 3}, 4: {4}, 6: {6}}, {(3, 4): ()}),
+    # clause (ii) at two points
+    Condition([0, 2, 4, 6], {0: {0}, 2: {0}, 4: {0, 4}, 6: {4}}, empty_i([0, 2, 4, 6])),
+    # clause (iii): i-values inside the domain but beyond f
+    Condition(range(8), singles(range(8)), {k: set(range(min(k))) for k in combinations(range(8), 2)}),
+    # clause (iv): the star {0} left uncovered on three pairs
+    Condition([0, 1, 2, 3], {0: {0}, 1: {0, 1}, 2: {0, 2}, 3: {0, 3}}, empty_i([0, 1, 2, 3])),
+    # several clauses at once
+    Condition([0, 1, 2, 5, 7], {0: {0}, 1: {1}, 2: {0, 2}, 5: {2, 4}, 7: {0, 7}},
+              {(0, 2): (), (0, 7): {0}, (1, 2): {0}, (2, 7): {1}, (1, 5): (), (3, 4): ()}),
+]
+INVALID_DIGEST = "a34d8968bad8e7675199097f3e73ec76e7f9c87c036b972cc1541b652356c9f1"  # taken before the validator was reworked
+
+
+class TestViolationsPinned:
+    def test_cases_cover_every_clause(self):
+        reports = [validate_condition(PIN_F, p) for p in INVALID]
+        assert all(not rep.ok for rep in reports)
+        assert set().union(*(rep.clauses() for rep in reports)) == {"i", "ii", "iii", "iv"}
+
+    def test_violations_and_their_order_are_pinned(self):
+        text = "\n".join(repr(validate_condition(PIN_F, p).violations) for p in INVALID)
+        assert hashlib.sha256(text.encode()).hexdigest() == INVALID_DIGEST

@@ -9,7 +9,7 @@ from scatterlab.errors import UnknownSuite
 from scatterlab.generic import NbhdGoal, PointGoal
 from scatterlab.poset import basic_nbhd
 from scatterlab.sampling import random_space
-from scatterlab.suites import run_suite
+from scatterlab.suites import _workers, run_suite
 from scatterlab.universe import random_pair_function
 
 
@@ -64,6 +64,19 @@ class TestHarnessContract:
         assert set(doc) == {"command", "inputs", "outcome", "witnesses", "seed", "notes"}
         assert doc["seed"] == 1
         assert doc["command"] == "props:insertion"
+
+
+class TestWorkers:
+    """The worker count is computed, never tried out: no process is spawned."""
+
+    @pytest.mark.parametrize(
+        "jobs, tasks, cpus, expected",
+        [(1, 20, 2, 1), (2, 20, 2, 2), (3, 20, 2, 2), (64, 20, 2, 2), (64, 20, 8, 8),
+         (8, 3, 8, 3), (4, 1, 8, 1), (4, 0, 8, 0), (4, 20, None, 1)],
+    )
+    def test_clamped_to_cpus_and_tasks(self, jobs, tasks, cpus, expected, monkeypatch):
+        monkeypatch.setattr("scatterlab.suites.os.cpu_count", lambda: cpus)
+        assert _workers(jobs, tasks) == expected
 
 
 class TestScheduleLog:
