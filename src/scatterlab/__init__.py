@@ -54,7 +54,6 @@ from .poset import (
 from .universe import (
     ClosureResult,
     PairFunction,
-    find_good_pair,
     is_good_pair,
     pair_closure,
     random_pair_function,
@@ -86,7 +85,6 @@ __all__ = [
     "delta_xi",
     "extend_into_neighbourhood",
     "extend_with_point",
-    "find_good_pair",
     "fu_leq",
     "fu_meet",
     "fu_simulate",

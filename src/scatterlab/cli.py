@@ -16,14 +16,10 @@ from . import amalgam, formats, generic, poset, suites, universe
 from .errors import (
     GoalUnsatisfiable,
     NotGoodTwins,
-    OutOfUniverse,
     ParseError,
     ScatterlabError,
     StuckNoFreshPoint,
-    UnknownSuite,
 )
-
-MAX_KAPPA = 64
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,12 +70,6 @@ def _int_set_list(text: str) -> list[frozenset[int]]:
     return [_int_set(part) for part in text.split("|")]
 
 
-def _check_kappa(kappa: int) -> int:
-    if not 1 <= kappa <= MAX_KAPPA:
-        raise ParseError(f"kappa must be between 1 and {MAX_KAPPA}, got {kappa}")
-    return kappa
-
-
 def _check_density(density: float) -> float:
     if not 0.0 <= density <= 1.0:
         raise ParseError(f"density must be between 0 and 1, got {density}")
@@ -93,7 +83,7 @@ def _check_at_least(name: str, value: int, least: int) -> int:
 
 
 def cmd_gen_f(args) -> int:
-    kappa = _check_kappa(args.kappa)
+    kappa = universe.check_kappa(args.kappa)
     f = universe.random_pair_function(kappa, _check_density(args.density), args.seed)
     _write(args.out, formats.dump_pair_function(f), args.quiet)
     return EXIT_OK
@@ -246,7 +236,7 @@ def cmd_sample_space(args) -> int:
     f = formats.load_pair_function(ftext)
     goals = formats.load_schedule(stext)
     kappa = args.kappa if args.kappa is not None else f.kappa
-    sample = generic.sample_filter(f, _check_kappa(kappa), goals, args.seed)
+    sample = generic.sample_filter(f, universe.check_kappa(kappa), goals, args.seed)
     space = generic.assemble_space(sample)
     _write(args.out, formats.dump_space(space), quiet=True)
     report, checks_ok = _space_report(space)
@@ -296,24 +286,10 @@ def cmd_fu_sim(args) -> int:
     return EXIT_OK if suffix_ok else EXIT_FAIL
 
 
-# Suites that build all their pair functions themselves, so --f would be ignored.
-_SUITES_WITHOUT_F = set(suites.SUITES) - {"poset-laws", "twins-amalgam"}
-# The --kappa a suite honours without --f: twins-amalgam draws kappa from 8 up,
-# insertion's largest layout needs 14 ordinals, space-checks draws from 4 to 16.
-_SUITE_KAPPA = {"twins-amalgam": (8, MAX_KAPPA), "insertion": (14, MAX_KAPPA), "space-checks": (4, 16)}
-
-
 def cmd_props(args) -> int:
-    _check_kappa(args.kappa)
+    # run_suite refuses a --kappa or --f outside the suite's table entry.
     _check_density(args.density)
     _check_at_least("--jobs", args.jobs, 1)
-    if args.f and args.suite in _SUITES_WITHOUT_F:
-        raise ParseError(f"suite {args.suite} does not read --f")
-    if args.suite in _SUITE_KAPPA and not args.f:
-        least, most = _SUITE_KAPPA[args.suite]
-        _check_at_least(f"--kappa for suite {args.suite}", args.kappa, least)
-        if args.kappa > most:
-            raise ParseError(f"--kappa for suite {args.suite} must be at most {most}, got {args.kappa}")
     f = None
     inputs: dict = {"suite": args.suite}
     if args.f:
@@ -419,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--kappa", type=int, default=16)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--kappa", type=int, default=suites.DEFAULT_KAPPA)
+    p.add_argument("--density", type=float, default=suites.DEFAULT_DENSITY)
     common(p)
     p.set_defaults(fn=cmd_props)
 
@@ -432,9 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownSuite, OutOfUniverse) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (GoalUnsatisfiable, NotGoodTwins, StuckNoFreshPoint) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -91,3 +91,7 @@ class ParseError(ScatterlabError):
 
 class UnknownSuite(ScatterlabError):
     """The requested property suite does not exist."""
+
+
+class BadArgument(ScatterlabError):
+    """An argument lies outside the range the called operation accepts."""

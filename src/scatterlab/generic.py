@@ -141,16 +141,6 @@ class SpaceModel:
     def carrier(self) -> range:
         return range(self.kappa)
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        """Points carrying covering information (the final condition's
-        domain, when at least two points were ever added)."""
-        seen: set[int] = set()
-        for x, y in self.i:
-            seen.add(x)
-            seen.add(y)
-        return tuple(sorted(seen))
-
     def nbhd(self, alpha: int, b: Iterable[int]) -> frozenset[int]:
         """``H(alpha)`` minus the union of ``H`` over ``b``."""
         return self.H[alpha] - h_union(self.H, b)

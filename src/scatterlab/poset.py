@@ -280,7 +280,10 @@ def leq_restricted(r1: RestrictedCondition, r2: RestrictedCondition) -> bool:
     return leq(r1, r2)
 
 
-def precedes(p: Condition, p_prime: Condition, max_domain: int = 16) -> bool:
+PRECEDES_MAX_DOMAIN = 16  # precedes scans all 2^n avoidance subsets
+
+
+def precedes(p: Condition, p_prime: Condition) -> bool:
     """Neighbourhood refinement on a fixed domain: every basic neighbourhood
     of ``p`` is contained in the matching one of ``p_prime``.
 
@@ -288,8 +291,8 @@ def precedes(p: Condition, p_prime: Condition, max_domain: int = 16) -> bool:
     """
     if p.a != p_prime.a:
         raise DomainMismatch(f"domains differ: {list(p.a)} vs {list(p_prime.a)}")
-    if len(p.a) > max_domain:
-        raise DomainTooLarge(f"refusing 2^{len(p.a)} subset scan (max_domain={max_domain})")
+    if len(p.a) > PRECEDES_MAX_DOMAIN:
+        raise DomainTooLarge(f"refusing 2^{len(p.a)} subset scan (at most {PRECEDES_MAX_DOMAIN} points)")
     for alpha in p.a:
         below = [x for x in p.a if x < alpha]
         for r in range(len(below) + 1):

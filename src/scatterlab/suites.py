@@ -6,6 +6,10 @@ trial from ``(seed, trial index)``, so reports are identical no matter how
 trials are distributed over workers.  A trial counts its checks as it makes
 them and returns its own :class:`_Tally`; the suite adds the trial tallies up
 in trial order.  A check that passes leaves only a count behind.
+
+:data:`SUITES` declares every suite once: its trial function, its default
+trial count, whether it reads a given pair function and the range of
+``kappa`` it accepts.  :func:`run_suite` refuses anything outside that entry.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import amalgam, generic, poset, sampling, universe
 from .errors import (
+    BadArgument,
     EqualSup,
     HypothesisViolated,
     NotGoodTwins,
@@ -27,7 +34,11 @@ from .errors import (
     UnknownSuite,
 )
 from .poset import Condition
-from .universe import PairFunction
+from .universe import MAX_KAPPA, PairFunction
+
+# The pair function a suite draws when none is given.
+DEFAULT_KAPPA = 16
+DEFAULT_DENSITY = 0.5
 
 
 def derive_seed(seed: int, index: int, salt: str = "") -> int:
@@ -65,12 +76,14 @@ class _Tally:
 
     A witness exists if and only if a check failed.  A trial builds one tally
     with :meth:`hit` and returns it; :meth:`merge_trials` adds trial tallies
-    into the suite's tally.
+    into the suite's tally.  ``notes`` holds counts for the report's notes,
+    which trials add up the same way.
     """
 
     def __init__(self) -> None:
         self.outcome: dict[str, dict[str, int]] = {}
         self.witnesses: list[dict] = []
+        self.notes: Counter = Counter()
 
     def hit(self, prop: str, ok: bool, witness: Optional[dict] = None) -> None:
         slot = self.outcome.setdefault(prop, {"pass": 0, "fail": 0})
@@ -90,6 +103,7 @@ class _Tally:
             for witness in trial.witnesses:
                 witness.setdefault("trial", index)
                 self.witnesses.append(witness)
+            self.notes.update(trial.notes)
         return self
 
     def sorted_witnesses(self) -> list[dict]:
@@ -114,15 +128,10 @@ def _pmap(fn: Callable, payloads: Sequence, jobs: int) -> Iterator:
 
 @dataclass
 class SuiteContext:
-    trials: Optional[int]
     seed: int
-    jobs: int
     f: Optional[PairFunction]
     kappa: int
     density: float
-
-    def n(self, default: int) -> int:
-        return self.trials if self.trials is not None else default
 
 
 # star-laws ----------------------------------------------------------------
@@ -139,7 +148,7 @@ def _star_expected(x: frozenset[int], y: frozenset[int]) -> tuple[int, frozenset
     return len(cases), cases[0] if cases else frozenset()
 
 
-def run_star_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
+def _star_checks(ctx: SuiteContext) -> _Tally:
     tally = _Tally()
     subsets = [frozenset(s) for r in range(1, 7) for s in combinations(range(6), r)]
     for x in subsets:
@@ -159,7 +168,7 @@ def run_star_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
                 got == expected,
                 {"x": sorted(x), "y": sorted(y), "got": sorted(got)},
             )
-    return tally, {}
+    return tally
 
 
 # poset-laws ---------------------------------------------------------------
@@ -168,12 +177,12 @@ _POSET_DOMAIN = (0, 1, 2, 3, 4)
 _POSET_CAP_PER_DOMAIN = 40
 
 
-def _poset_laws_trial(payload: tuple) -> _Tally:
-    trial, seed, f = payload
+def _poset_laws_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    f = ctx.f
     if f is None:
         density = (0.0, 0.3, 0.6, 1.0)[trial % 4]
-        f = universe.random_pair_function(len(_POSET_DOMAIN), density, derive_seed(seed, trial, "poset-f"))
-    rng = random.Random(derive_seed(seed, trial, "poset-rng"))
+        f = universe.random_pair_function(len(_POSET_DOMAIN), density, derive_seed(ctx.seed, trial, "poset-f"))
+    rng = random.Random(derive_seed(ctx.seed, trial, "poset-rng"))
     tally = _Tally()
 
     domain = _POSET_DOMAIN[: f.kappa]
@@ -227,12 +236,6 @@ def _poset_laws_trial(payload: tuple) -> _Tally:
     return tally
 
 
-def run_poset_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(1 if ctx.f is not None else 20)  # a fixed f makes trials identical
-    payloads = [(t, ctx.seed, ctx.f) for t in range(n)]
-    return _Tally().merge_trials(_pmap(_poset_laws_trial, payloads, ctx.jobs)), {}
-
-
 # twins-amalgam ------------------------------------------------------------
 
 def g_well_defined(p: Condition, q: Condition) -> bool:
@@ -253,12 +256,12 @@ def g_well_defined(p: Condition, q: Condition) -> bool:
     return True
 
 
-def _twins_trial(payload: tuple) -> _Tally:
-    trial, seed, f, kappa, density = payload
-    rng = random.Random(derive_seed(seed, trial, "twins-rng"))
+def _twins_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    rng = random.Random(derive_seed(ctx.seed, trial, "twins-rng"))
+    f = ctx.f
     if f is None:
-        kappa = rng.randint(8, kappa)
-        f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "twins-f"))
+        kappa = rng.randint(SUITES["twins-amalgam"].kappa[0], ctx.kappa)
+        f = universe.random_pair_function(kappa, ctx.density, derive_seed(ctx.seed, trial, "twins-f"))
     size = rng.randint(0, 6)
     f2, p, q = sampling.good_twin_pair(f, rng, size)
     tally = _Tally()
@@ -279,21 +282,14 @@ def _twins_trial(payload: tuple) -> _Tally:
     return tally
 
 
-def run_twins_amalgam(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(500)
-    payloads = [(t, ctx.seed, ctx.f, ctx.kappa, ctx.density) for t in range(n)]
-    return _Tally().merge_trials(_pmap(_twins_trial, payloads, ctx.jobs)), {}
-
-
 # insertion ----------------------------------------------------------------
 
-def _insertion_trial(payload: tuple) -> _Tally:
-    trial, seed, kappa = payload
-    rng = random.Random(derive_seed(seed, trial, "insertion-rng"))
+def _insertion_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    rng = random.Random(derive_seed(ctx.seed, trial, "insertion-rng"))
     k = rng.choice((1, 2))
     f, s, layout = sampling.insertion_instance(
         rng,
-        kappa=max(kappa, 12),
+        kappa=ctx.kappa,
         k=k,
         q_size=rng.randint(1, 3),
         extra_points=rng.randint(0, 3),
@@ -319,20 +315,14 @@ def _insertion_trial(payload: tuple) -> _Tally:
     return tally
 
 
-def run_insertion(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(100)
-    payloads = [(t, ctx.seed, ctx.kappa) for t in range(n)]
-    return _Tally().merge_trials(_pmap(_insertion_trial, payloads, ctx.jobs)), {}
-
-
 # closure-laws -------------------------------------------------------------
 
-def _pair_closure_trial(payload: tuple) -> _Tally:
-    trial, seed, exhaustive = payload
+def _pair_closure_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    exhaustive = trial < 6
     density = (0.0, 0.5, 1.0)[trial % 3]
     kappa = 5
-    f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "clf"))
-    rng = random.Random(derive_seed(seed, trial, "clf-rng"))
+    f = universe.random_pair_function(kappa, density, derive_seed(ctx.seed, trial, "clf"))
+    rng = random.Random(derive_seed(ctx.seed, trial, "clf-rng"))
     tally = _Tally()
     pool = list(range(kappa))
     all_subsets = [frozenset(s) for r in range(kappa + 1) for s in combinations(pool, r)]
@@ -383,12 +373,9 @@ def _toy_spaces(kappa: int) -> list[tuple[str, generic.SpaceModel]]:
     ]
 
 
-def run_closure_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(150)
-    payloads = [(t, ctx.seed, t < 6) for t in range(n)]
-    tally = _Tally().merge_trials(_pmap(_pair_closure_trial, payloads, ctx.jobs))
-
-    # Kuratowski laws for the induced finite topology, exhaustive at kappa 6.
+def _kuratowski_checks(ctx: SuiteContext) -> _Tally:
+    """Kuratowski laws for the induced finite topology, exhaustive at kappa 6."""
+    tally = _Tally()
     kappa = 6
     spaces = _toy_spaces(kappa)
     for idx in range(3):
@@ -407,18 +394,17 @@ def run_closure_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
         tally.hit("preserves-unions", union_ok, wit)
         mono_ok = all(table[y] <= table[z] for y in subsets for z in subsets if y <= z)
         tally.hit("monotone-topological", mono_ok, wit)
-    return tally, {}
+    return tally
 
 
 # space-checks -------------------------------------------------------------
 
-def _space_trial(payload: tuple) -> tuple[_Tally, bool]:
-    trial, seed, kappa_max = payload
-    rng = random.Random(derive_seed(seed, trial, "space-rng"))
-    kappa = rng.randint(4, kappa_max)
+def _space_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    rng = random.Random(derive_seed(ctx.seed, trial, "space-rng"))
+    kappa = rng.randint(SUITES["space-checks"].kappa[0], ctx.kappa)
     density = rng.choice((0.2, 0.5, 0.8))
-    f = universe.random_pair_function(kappa, density, derive_seed(seed, trial, "space-f"))
-    space, sample, goals = sampling.random_space(f, derive_seed(seed, trial, "space-s"), nbhd_goals=10)
+    f = universe.random_pair_function(kappa, density, derive_seed(ctx.seed, trial, "space-f"))
+    space, sample, goals = sampling.random_space(f, derive_seed(ctx.seed, trial, "space-s"), nbhd_goals=10)
     wit = {"kappa": kappa, "density": density}
     tally = _Tally()
 
@@ -456,16 +442,15 @@ def _space_trial(payload: tuple) -> tuple[_Tally, bool]:
         tally.hit("cb-levels-discrete", discrete, wit)
     except ScatterlabError as exc:
         tally.hit("cb-total", False, {**wit, "reason": str(exc)})
-    return tally, generic.is_coherent(space)
+    tally.notes.update({"coherent-spaces-observed": int(generic.is_coherent(space)), "spaces": 1})
+    return tally
 
 
-def run_space_checks(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(50)
-    payloads = [(t, ctx.seed, max(4, min(ctx.kappa, 16))) for t in range(n)]
-    trials = list(_pmap(_space_trial, payloads, ctx.jobs))
-    tally = _Tally().merge_trials(trial for trial, _ in trials)
-    coherent = sum(int(is_coh) for _, is_coh in trials)
-    return tally, {"coherent-spaces-observed": coherent, "spaces": n}
+def _space_notes(ctx: SuiteContext) -> _Tally:
+    """The notes the trials count into, present even when no trial runs."""
+    tally = _Tally()
+    tally.notes.update({"coherent-spaces-observed": 0, "spaces": 0})
+    return tally
 
 
 # fu-laws ------------------------------------------------------------------
@@ -524,12 +509,11 @@ def run_fu_exhaustive() -> _Tally:
     return tally
 
 
-def _fu_sim_trial(payload: tuple) -> _Tally:
-    trial, seed = payload
-    rng = random.Random(derive_seed(seed, trial, "fu-rng"))
+def _fu_sim_trial(ctx: SuiteContext, trial: int) -> _Tally:
+    rng = random.Random(derive_seed(ctx.seed, trial, "fu-rng"))
     kappa = rng.randint(5, 12)
-    f = universe.random_pair_function(kappa, 0.5, derive_seed(seed, trial, "fu-f"))
-    space, _, _ = sampling.random_space(f, derive_seed(seed, trial, "fu-s"), nbhd_goals=6)
+    f = universe.random_pair_function(kappa, 0.5, derive_seed(ctx.seed, trial, "fu-f"))
+    space, _, _ = sampling.random_space(f, derive_seed(ctx.seed, trial, "fu-s"), nbhd_goals=6)
     alpha = rng.randrange(1, kappa)
     pool = sorted(rng.sample(range(kappa), rng.randint(1, kappa - 1)))
     a_set = frozenset(pool) | {alpha}  # alpha keeps every block satisfiable
@@ -537,7 +521,7 @@ def _fu_sim_trial(payload: tuple) -> _Tally:
         frozenset(rng.sample(range(alpha), rng.randint(0, min(2, alpha))))
         for _ in range(rng.randint(1, 6))
     ]
-    res = generic.fu_simulate(space, a_set, alpha, schedule, derive_seed(seed, trial, "fu-sim"))
+    res = generic.fu_simulate(space, a_set, alpha, schedule, derive_seed(ctx.seed, trial, "fu-sim"))
     wit = {"alpha": alpha, "A": sorted(a_set), "schedule": [sorted(c) for c in schedule]}
     tally = _Tally()
     tally.hit("acquired-from-A", set(res.points) <= set(a_set), wit)
@@ -546,20 +530,34 @@ def _fu_sim_trial(payload: tuple) -> _Tally:
     return tally
 
 
-def run_fu_laws(ctx: SuiteContext) -> tuple[_Tally, dict]:
-    n = ctx.n(50)
-    payloads = [(t, ctx.seed) for t in range(n)]
-    return run_fu_exhaustive().merge_trials(_pmap(_fu_sim_trial, payloads, ctx.jobs)), {}
+@dataclass(frozen=True)
+class Suite:
+    """One property suite, declared once.
+
+    ``trial(ctx, index)`` runs one seeded trial; ``trials`` is the default
+    trial count.  ``f_trials`` is the default when a pair function is given,
+    and ``None`` if the suite does not read one.  ``kappa`` is the range the
+    suite draws ``kappa`` from when no pair function is given, and ``None``
+    if it never reads ``kappa``.  ``fixed(ctx)`` makes the checks that do not
+    depend on the trial count, and the trial tallies are added to it.
+    """
+
+    trial: Optional[Callable[[SuiteContext, int], _Tally]]
+    trials: int = 0
+    f_trials: Optional[int] = None
+    kappa: Optional[tuple[int, int]] = None
+    fixed: Optional[Callable[[SuiteContext], _Tally]] = None
 
 
-SUITES: dict[str, Callable[[SuiteContext], tuple[_Tally, dict]]] = {
-    "star-laws": run_star_laws,
-    "poset-laws": run_poset_laws,
-    "twins-amalgam": run_twins_amalgam,
-    "insertion": run_insertion,
-    "closure-laws": run_closure_laws,
-    "space-checks": run_space_checks,
-    "fu-laws": run_fu_laws,
+SUITES: dict[str, Suite] = {
+    "star-laws": Suite(None, fixed=_star_checks),
+    "poset-laws": Suite(_poset_laws_trial, 20, f_trials=1),  # a fixed f leaves trials alike
+    "twins-amalgam": Suite(_twins_trial, 500, f_trials=500, kappa=(8, MAX_KAPPA)),
+    # the largest layout needs 14 ordinals
+    "insertion": Suite(_insertion_trial, 100, kappa=(14, MAX_KAPPA)),
+    "closure-laws": Suite(_pair_closure_trial, 150, fixed=_kuratowski_checks),
+    "space-checks": Suite(_space_trial, 50, kappa=(4, 16), fixed=_space_notes),
+    "fu-laws": Suite(_fu_sim_trial, 50, fixed=lambda ctx: run_fu_exhaustive()),
 }
 
 
@@ -570,19 +568,35 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
     f: Optional[PairFunction] = None,
-    kappa: int = 16,
-    density: float = 0.5,
+    kappa: int = DEFAULT_KAPPA,
+    density: float = DEFAULT_DENSITY,
     inputs: Optional[dict] = None,
 ) -> RunReport:
+    """Run suite ``name``; an input outside its :data:`SUITES` entry raises
+    :class:`BadArgument`."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    ctx = SuiteContext(trials=trials, seed=seed, jobs=jobs, f=f, kappa=kappa, density=density)
-    tally, notes = SUITES[name](ctx)
+    suite = SUITES[name]
+    universe.check_kappa(kappa)
+    if f is not None and suite.f_trials is None:
+        raise BadArgument(f"suite {name} does not read --f")
+    if f is None and suite.kappa is not None:
+        least, most = suite.kappa
+        if kappa < least:
+            raise BadArgument(f"--kappa for suite {name} must be at least {least}, got {kappa}")
+        if kappa > most:
+            raise BadArgument(f"--kappa for suite {name} must be at most {most}, got {kappa}")
+    if trials is None:
+        trials = suite.trials if f is None else suite.f_trials
+    ctx = SuiteContext(seed=seed, f=f, kappa=kappa, density=density)
+    tally = suite.fixed(ctx) if suite.fixed else _Tally()
+    if suite.trial:
+        tally.merge_trials(_pmap(partial(suite.trial, ctx), range(trials), jobs))
     return RunReport(
         command=f"props:{name}",
         inputs=inputs or {},
         outcome=dict(sorted(tally.outcome.items())),
         witnesses=tally.sorted_witnesses(),
         seed=seed,
-        notes=notes,
+        notes=dict(tally.notes),
     )

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BNotBelow, DisjointnessViolated, OutOfUniverse
+from .errors import BadArgument, BNotBelow, DisjointnessViolated, OutOfUniverse
+
+MAX_KAPPA = 64  # the largest carrier the commands and the suites accept
+
+
+def check_kappa(kappa: int) -> int:
+    """``kappa`` itself, if it is a carrier size between 1 and :data:`MAX_KAPPA`."""
+    if not 1 <= kappa <= MAX_KAPPA:
+        raise BadArgument(f"kappa must be between 1 and {MAX_KAPPA}, got {kappa}")
+    return kappa
 
 
 def pair(x: int, y: int) -> tuple[int, int]:
@@ -116,18 +125,6 @@ def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) ->
 
 def is_good_pair(f: PairFunction, x: Iterable[int], y: Iterable[int]) -> bool:
     return not good_pair_violations(f, x, y)
-
-
-def find_good_pair(f: PairFunction, family: Sequence[Iterable[int]]) -> Optional[tuple[int, int]]:
-    """Lexicographically least index pair of ``family`` that is good for ``f``;
-    ``None`` if every pair fails."""
-    sets = [frozenset(s) for s in family]
-    for s in sets:
-        f.check_members(s)
-    for i, j in combinations(range(len(sets)), 2):
-        if is_good_pair(f, sets[i], sets[j]):
-            return (i, j)
-    return None
 
 
 @dataclass(frozen=True)

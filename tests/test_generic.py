@@ -138,8 +138,8 @@ class TestStructuralChecks:
 
     def test_corrupted_h_detected(self):
         f = random_pair_function(12, 0.5, 3)
-        space, _, _ = random_space(f, 7)
-        dom = space.domain
+        space, sample, _ = random_space(f, 7)
+        dom = sample.final.a
         if len(dom) < 2:
             pytest.skip("degenerate sample")
         beta, alpha = dom[0], dom[-1]

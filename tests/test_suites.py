@@ -1,16 +1,22 @@
 import hashlib
 import random
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 import scatterlab.poset
 from scatterlab import formats
-from scatterlab.errors import UnknownSuite
+from scatterlab.cli import main
+from scatterlab.errors import BadArgument, ScatterlabError, UnknownSuite
 from scatterlab.generic import NbhdGoal, PointGoal
 from scatterlab.poset import basic_nbhd
 from scatterlab.sampling import random_space
-from scatterlab.suites import _workers, run_suite
-from scatterlab.universe import random_pair_function
+from scatterlab.suites import SUITES, _workers, run_suite
+from scatterlab.universe import MAX_KAPPA, random_pair_function
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUITE_TABLE_HEADER = "| suite | reads `--f` | `--kappa` without `--f` | default `--trials` | default `--trials` with `--f` |"
 
 
 class TestHarnessContract:
@@ -64,6 +70,54 @@ class TestHarnessContract:
         assert set(doc) == {"command", "inputs", "outcome", "witnesses", "seed", "notes"}
         assert doc["seed"] == 1
         assert doc["command"] == "props:insertion"
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize("name, trials, kappa", [("insertion", 3, 12), ("space-checks", 2, 64)])
+    def test_kappa_outside_the_table_is_refused(self, name, trials, kappa):
+        with pytest.raises(BadArgument, match=f"--kappa for suite {name} must be"):
+            run_suite(name, trials=trials, kappa=kappa)
+
+    @pytest.mark.parametrize(
+        "name, kappa, with_f",
+        [
+            (name, kappa, with_f)
+            for name, suite in SUITES.items()
+            for least, most in [suite.kappa or (1, MAX_KAPPA)]
+            for kappa in (least - 1, least, most, most + 1)
+            for with_f in (False, True)
+        ],
+    )
+    def test_cli_refuses_exactly_what_run_suite_refuses(self, name, kappa, with_f, tmp_path, capsys):
+        f = random_pair_function(6, 0.5, 1) if with_f else None
+        argv = ["props", "--suite", name, "--kappa", str(kappa), "--trials", "0", "--jobs", "1"]
+        if with_f:
+            path = tmp_path / "f.json"
+            path.write_text(formats.dump_pair_function(f))
+            argv += ["--f", str(path)]
+        try:
+            run_suite(name, trials=0, kappa=kappa, f=f)
+            refusal = None
+        except ScatterlabError as exc:
+            refusal = str(exc)
+        code = main(argv)
+        err = capsys.readouterr().err
+        if refusal is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: {refusal}\n")
+
+    def test_readme_table_matches(self):
+        lines = README.read_text().splitlines()
+        start = lines.index(SUITE_TABLE_HEADER) + 2  # past the header and its rule
+        rows = list(takewhile(lambda line: line.startswith("|"), lines[start:]))
+        expected = [
+            f"| `{name}` | {'no' if suite.f_trials is None else 'yes'} "
+            f"| {'not read' if suite.kappa is None else '{} to {}'.format(*suite.kappa)} "
+            f"| {suite.trials} | {'—' if suite.f_trials is None else suite.f_trials} |"
+            for name, suite in SUITES.items()
+        ]
+        assert rows == expected
 
 
 class TestWorkers:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scatterlab.errors import BNotBelow, DisjointnessViolated, OutOfUniverse
 from scatterlab.universe import (
     PairFunction,
-    find_good_pair,
     good_pair_violations,
     is_good_pair,
     pair_closure,
@@ -125,36 +124,6 @@ class TestGoodPair:
         y = frozenset(data.draw(st.sets(st.integers(0, 5), max_size=6)))
         assert is_good_pair(f, x, y) == is_good_pair(f, y, x)
         assert is_good_pair(f, x, y) == oracle_good_pair(f, x, y)
-
-
-class TestFindGoodPair:
-    def test_two_disjoint(self):
-        assert find_good_pair(small_f(), [{0, 1}, {2, 3}]) == (0, 1)
-
-    def test_singleton_family(self):
-        assert find_good_pair(small_f(), [{1, 2}]) is None
-
-    def test_small_family_oracle_value(self):
-        # With the empty pair function, ({1,2},{2,3}) triggers no clause:
-        # the shared point 2 is below neither difference point.
-        f = PairFunction.build(4)
-        assert find_good_pair(f, [{1, 2}, {1, 3}, {2, 3}]) == (0, 2)
-        assert oracle_good_pair(f, {1, 2}, {2, 3})
-        assert not oracle_good_pair(f, {1, 2}, {1, 3})
-
-    def test_none_iff_all_pairs_bad(self):
-        rng = random.Random(5)
-        for seed in range(30):
-            f = random_pair_function(6, 0.3, seed)
-            family = [frozenset(rng.sample(range(6), rng.randint(1, 3))) for _ in range(4)]
-            res = find_good_pair(f, family)
-            brute = [
-                (i, j)
-                for i in range(4)
-                for j in range(i + 1, 4)
-                if oracle_good_pair(f, family[i], family[j])
-            ]
-            assert res == (min(brute) if brute else None)
 
 
 class TestPairClosure:
