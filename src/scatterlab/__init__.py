@@ -54,7 +54,6 @@ from .poset import (
 from .universe import (
     ClosureResult,
     PairFunction,
-    is_good_pair,
     pair_closure,
     random_pair_function,
     search_common_lower_bound,
@@ -91,7 +90,6 @@ __all__ = [
     "insertion_construction",
     "is_coherent",
     "is_free_sequence",
-    "is_good_pair",
     "leq",
     "leq_restricted",
     "pair_closure",

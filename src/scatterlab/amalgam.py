@@ -29,10 +29,9 @@ from .universe import PairFunction, good_pair_violations
 
 @dataclass(frozen=True)
 class TwinWitness:
-    """The order isomorphism as a pair list, plus the shared domain part."""
+    """The order isomorphism as a pair list."""
 
     e: tuple[tuple[int, int], ...]
-    common: frozenset[int]
 
 
 def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Condition) -> list[str]:
@@ -72,7 +71,7 @@ def are_twins(p: Condition, p_prime: Condition) -> Optional[TwinWitness]:
     overlap (clause 1 of :func:`good_twin_violations`); ``None`` otherwise."""
     if any(c.startswith("1") for c in good_twin_violations(None, p, p_prime)):
         return None
-    return TwinWitness(tuple(zip(p.a, p_prime.a)), frozenset(p.a) & frozenset(p_prime.a))
+    return TwinWitness(tuple(zip(p.a, p_prime.a)))
 
 
 def are_good_twins(f: PairFunction, p: Condition, p_prime: Condition) -> bool:

@@ -2,8 +2,10 @@
 
 Everything is JSON with canonically sorted lists, so fixture files diff
 cleanly and repeated runs are byte-identical.  Structural validation happens
-on load and raises :class:`ParseError`; semantic validity of a condition is
-a separate gate (:func:`scatterlab.poset.validate_condition`).
+on load and raises :class:`ParseError`; a pair function's ranges are checked
+by :meth:`PairFunction.build`, which raises :class:`BadArgument`, and semantic
+validity of a condition is a separate gate
+(:func:`scatterlab.poset.validate_condition`).
 """
 
 from __future__ import annotations
@@ -94,10 +96,7 @@ def load_pair_function(text: str) -> PairFunction:
     entries = _pair_sets(doc["f"], "f")
     if list(entries) != sorted(entries):
         raise ParseError("f entries must be in ascending (xi, eta) order")
-    try:
-        return PairFunction.build(kappa, entries)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return PairFunction.build(kappa, entries)
 
 
 def dump_condition(p: Condition) -> str:
@@ -167,14 +166,14 @@ def load_schedule(text: str) -> list[Goal]:
         if not isinstance(item, dict) or len(item) != 1:
             raise ParseError(f"malformed schedule entry {item!r}")
         if "point" in item:
-            if not isinstance(item["point"], int):
+            if not _is_int(item["point"]):
                 raise ParseError(f"point goal must be an integer, got {item!r}")
             goals.append(PointGoal(item["point"]))
         elif "nbhd" in item:
             body = item["nbhd"]
             if not isinstance(body, dict) or set(body) != {"beta", "b", "Z"}:
                 raise ParseError(f"nbhd goal needs keys beta, b, Z: {item!r}")
-            if not isinstance(body["beta"], int):
+            if not _is_int(body["beta"]):
                 raise ParseError(f"nbhd beta must be an integer: {item!r}")
             goals.append(
                 NbhdGoal(

@@ -22,13 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import (
-    AmbientMismatch,
-    DuplicatePoints,
-    GoalUnsatisfiable,
-    ScatterlabError,
-    StuckNoFreshPoint,
-)
+from .errors import BadArgument, GoalUnsatisfiable, ScatterlabError, StuckNoFreshPoint
 from .poset import Condition, basic_nbhd, extend_into_neighbourhood, extend_with_point, h_union, star
 from .universe import PairFunction, pair
 
@@ -79,14 +73,13 @@ def sample_filter(
     kappa: int,
     goals: Sequence[Goal],
     seed: int,
-    randomize: bool = True,
 ) -> FilterSample:
     """Hit each goal in order, starting from the empty condition.
 
     Point goals already satisfied are recorded as met; neighbourhood goals
-    are met by inserting a seed-chosen eligible ordinal of ``Z`` (the least
-    eligible one when ``randomize`` is off) unless the neighbourhood already
-    meets ``Z``.  Unsatisfiable goals raise, they are never skipped.
+    are met by inserting a seed-chosen eligible ordinal of ``Z`` unless the
+    neighbourhood already meets ``Z``.  Unsatisfiable goals raise, they are
+    never skipped.
     """
     if not 1 <= kappa <= f.kappa:
         raise GoalUnsatisfiable(f"kappa={kappa} not within the pair function's carrier {f.kappa}")
@@ -121,7 +114,7 @@ def sample_filter(
                 raise GoalUnsatisfiable(
                     f"no insertable ordinal: Z={sorted(goal.Z)} exhausted below beta={goal.beta}"
                 )
-            alpha = rng.choice(eligible) if randomize else eligible[0]
+            alpha = rng.choice(eligible)
             chain.append(extend_into_neighbourhood(cur, goal.beta, goal.b, alpha))
             log.append(GoalRecord(goal, "extended", len(chain) - 1, alpha))
         else:
@@ -244,14 +237,14 @@ def closure(space: SpaceModel, Y: Iterable[int]) -> frozenset[int]:
     """Points whose minimal open neighbourhood meets ``Y``."""
     ys = frozenset(Y)
     if any(y not in space.carrier for y in ys):
-        raise AmbientMismatch(f"set {sorted(ys)} leaves the carrier {space.kappa}")
+        raise BadArgument(f"set {sorted(ys)} leaves the carrier {space.kappa}")
     return frozenset(x for x in space.carrier if minimal_nbhd(space, x) & ys)
 
 
 def is_free_sequence(space: SpaceModel, seq: Sequence[int]) -> bool:
     """Every cut separates the closures of initial segment and tail."""
     if len(set(seq)) != len(seq):
-        raise DuplicatePoints(f"sequence repeats points: {list(seq)}")
+        raise BadArgument(f"sequence repeats points: {list(seq)}")
     for k in range(len(seq) + 1):
         if closure(space, seq[:k]) & closure(space, seq[k:]):
             return False
@@ -296,12 +289,12 @@ class FUCondition:
 
 def _check_ambient(space: SpaceModel, alpha: int, *conds: FUCondition) -> None:
     if alpha not in space.carrier:
-        raise AmbientMismatch(f"alpha={alpha} outside carrier {space.kappa}")
+        raise BadArgument(f"alpha={alpha} outside carrier {space.kappa}")
     for q in conds:
         if any(c >= alpha or c < 0 for c in q.C):
-            raise AmbientMismatch(f"C={sorted(q.C)} not below alpha={alpha}")
+            raise BadArgument(f"C={sorted(q.C)} not below alpha={alpha}")
         if any(x not in space.carrier for x in q.s):
-            raise AmbientMismatch(f"s={sorted(q.s)} leaves the carrier")
+            raise BadArgument(f"s={sorted(q.s)} leaves the carrier")
 
 
 def fu_leq(q1: FUCondition, q2: FUCondition, space: SpaceModel, alpha: int) -> bool:
@@ -346,20 +339,19 @@ def fu_simulate(
     alpha: int,
     C_schedule: Sequence[Iterable[int]],
     seed: int,
-    randomize: bool = True,
 ) -> FUSimResult:
     """Descending chain in the convergence poset.
 
-    Each scheduled block joins the avoided index set; then a fresh point of
-    ``A`` inside the current basic neighbourhood is acquired (seed-chosen,
-    least when ``randomize`` is off).  A block whose neighbourhood retains
-    no point of ``A`` at all raises; one whose usable points were already
-    acquired is recorded without acquisition.
+    Each scheduled block joins the avoided index set; then a seed-chosen
+    fresh point of ``A`` inside the current basic neighbourhood is acquired.
+    A block whose neighbourhood retains no point of ``A`` at all raises; one
+    whose usable points were already acquired is recorded without
+    acquisition.
     """
     pool = frozenset(A)
     _check_ambient(space, alpha, FUCondition.make((), ()))
     if any(x not in space.carrier for x in pool):
-        raise AmbientMismatch(f"A={sorted(pool)} leaves the carrier")
+        raise BadArgument(f"A={sorted(pool)} leaves the carrier")
     rng = random.Random(seed)
     acquired: list[int] = []
     cur = FUCondition.make()
@@ -367,14 +359,14 @@ def fu_simulate(
     for block in C_schedule:
         blk = frozenset(block)
         if any(c >= alpha or c < 0 for c in blk):
-            raise AmbientMismatch(f"scheduled block {sorted(blk)} not below alpha={alpha}")
+            raise BadArgument(f"scheduled block {sorted(blk)} not below alpha={alpha}")
         new_c = cur.C | blk
         usable = space.nbhd(alpha, new_c) & pool
         if not usable:
-            raise StuckNoFreshPoint(blk, f"no point of A left in the neighbourhood avoiding {sorted(new_c)}")
+            raise StuckNoFreshPoint(f"no point of A left in the neighbourhood avoiding {sorted(new_c)}")
         fresh = sorted(usable - cur.s)
         if fresh:
-            x = rng.choice(fresh) if randomize else fresh[0]
+            x = rng.choice(fresh)
             acquired.append(x)
             cur = FUCondition(cur.s | {x}, new_c)
             steps.append(FUSimStep(blk, x))

@@ -22,17 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import (
-    AlphaNotInDomain,
-    AlreadyPresent,
-    BNotBelowAlpha,
-    DomainMismatch,
-    DomainTooLarge,
-    EmptyOperand,
-    EqualSup,
-    NotSubset,
-    PreconditionViolated,
-)
+from .errors import BadArgument, EqualSup
 from .universe import PairFunction, pair
 
 
@@ -44,7 +34,7 @@ def star(x: Iterable[int], y: Iterable[int]) -> frozenset[int]:
     """
     xs, ys = frozenset(x), frozenset(y)
     if not xs or not ys:
-        raise EmptyOperand("star needs nonempty operands")
+        raise BadArgument("star needs nonempty operands")
     mx, my = max(xs), max(ys)
     if mx == my:
         raise EqualSup(f"star undefined for equal maxima ({mx})")
@@ -227,9 +217,9 @@ def basic_nbhd(p: Condition, alpha: int, b: Iterable[int]) -> frozenset[int]:
     ``b`` must be a subset of the domain below ``alpha``."""
     bs = frozenset(b)
     if alpha not in set(p.a):
-        raise AlphaNotInDomain(f"{alpha} not in domain {list(p.a)}")
+        raise BadArgument(f"{alpha} not in domain {list(p.a)}")
     if not bs <= frozenset(x for x in p.a if x < alpha):
-        raise BNotBelowAlpha(f"b={sorted(bs)} is not a domain subset below {alpha}")
+        raise BadArgument(f"b={sorted(bs)} is not a domain subset below {alpha}")
     return p.h[alpha] - h_union(p.h, bs)
 
 
@@ -248,7 +238,7 @@ class RestrictedCondition(Condition):
 
     def as_condition(self) -> Condition:
         if not self.is_condition:
-            raise NotSubset(f"trace on {list(self.a)} keeps i-values outside the base")
+            raise BadArgument(f"trace on {list(self.a)} keeps i-values outside the base")
         return Condition(self.a, self.h, self.i)
 
 
@@ -258,7 +248,7 @@ def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
     the canonical keys of ``i``."""
     bs = frozenset(b)
     if not bs.issubset(p.a):
-        raise NotSubset(f"{sorted(bs)} is not a subset of the domain {list(p.a)}")
+        raise BadArgument(f"{sorted(bs)} is not a subset of the domain {list(p.a)}")
     # The slots are filled directly: this is the hot path of the poset suite,
     # and the values are already in the shape Condition.__init__ would make.
     r = RestrictedCondition.__new__(RestrictedCondition)
@@ -290,9 +280,9 @@ def precedes(p: Condition, p_prime: Condition) -> bool:
     Exhausts all avoidance subsets, so the domain size is guarded.
     """
     if p.a != p_prime.a:
-        raise DomainMismatch(f"domains differ: {list(p.a)} vs {list(p_prime.a)}")
+        raise BadArgument(f"domains differ: {list(p.a)} vs {list(p_prime.a)}")
     if len(p.a) > PRECEDES_MAX_DOMAIN:
-        raise DomainTooLarge(f"refusing 2^{len(p.a)} subset scan (at most {PRECEDES_MAX_DOMAIN} points)")
+        raise BadArgument(f"refusing 2^{len(p.a)} subset scan (at most {PRECEDES_MAX_DOMAIN} points)")
     for alpha in p.a:
         below = [x for x in p.a if x < alpha]
         for r in range(len(below) + 1):
@@ -305,7 +295,7 @@ def precedes(p: Condition, p_prime: Condition) -> bool:
 def extend_with_point(p: Condition, alpha: int) -> Condition:
     """Add an isolated new point: ``h(alpha) = {alpha}``, empty new ``i``."""
     if alpha in set(p.a):
-        raise AlreadyPresent(f"{alpha} already in domain")
+        raise BadArgument(f"{alpha} already in domain")
     h = dict(p.h)
     h[alpha] = frozenset((alpha,))
     i = dict(p.i)
@@ -324,11 +314,11 @@ def extend_into_neighbourhood(p: Condition, beta: int, b: Iterable[int], alpha: 
     dom = set(p.a)
     bs = frozenset(b)
     if beta not in dom:
-        raise PreconditionViolated(f"beta={beta} not in domain")
+        raise BadArgument(f"beta={beta} not in domain")
     if not bs <= {x for x in dom if x < beta}:
-        raise PreconditionViolated(f"b={sorted(bs)} is not a domain subset below {beta}")
+        raise BadArgument(f"b={sorted(bs)} is not a domain subset below {beta}")
     if alpha in dom or not 0 <= alpha < beta:
-        raise PreconditionViolated(f"alpha={alpha} must be a fresh ordinal below {beta}")
+        raise BadArgument(f"alpha={alpha} must be a fresh ordinal below {beta}")
     h: dict[int, frozenset[int]] = {}
     for nu in p.a:
         h[nu] = p.h[nu] | {alpha} if beta in p.h[nu] else p.h[nu]

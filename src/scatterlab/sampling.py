@@ -14,6 +14,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .amalgam import InsertionLayout
+from .errors import BadArgument
 from .generic import (
     FilterSample,
     Goal,
@@ -40,7 +41,6 @@ def random_condition(
     f: PairFunction,
     rng: random.Random,
     size: int,
-    enrich_i: float = 0.5,
     universe: Optional[Sequence[int]] = None,
 ) -> Condition:
     """Valid condition built by a random extension chain, then with the
@@ -48,8 +48,9 @@ def random_condition(
 
     Point extensions keep neighbourhood sets flat; neighbourhood-hitting
     extensions (which need an already-present larger point) overlap them.
-    Enlarging ``i`` afterwards only weakens clause (iv), so validity is
-    preserved.
+    Each pair with room left in its pair-function value then gains, with
+    probability one half, a random part of that room.  Enlarging ``i`` only
+    weakens clause (iv), so validity is preserved.
     """
     pool = list(universe if universe is not None else range(f.kappa))
     size = min(size, len(pool))
@@ -64,15 +65,12 @@ def random_condition(
             p = extend_into_neighbourhood(p, beta, b, alpha)
         else:
             p = extend_with_point(p, alpha)
-    if enrich_i > 0:
-        i = dict(p.i)
-        for x, y in combinations(p.a, 2):
-            room = (f.value(x, y) & frozenset(p.a)) - p.i_value(x, y)
-            if room and rng.random() < enrich_i:
-                extra = random_subset(rng, sorted(room), 0.5)
-                i[pair(x, y)] = p.i_value(x, y) | extra
-        p = Condition(p.a, p.h, i)
-    return p
+    i = dict(p.i)
+    for x, y in combinations(p.a, 2):
+        room = (f.value(x, y) & frozenset(p.a)) - p.i_value(x, y)
+        if room and rng.random() < 0.5:
+            i[pair(x, y)] = p.i_value(x, y) | random_subset(rng, sorted(room), 0.5)
+    return Condition(p.a, p.h, i)
 
 
 def iter_conditions(f: PairFunction, domain: Sequence[int]) -> Iterator[Condition]:
@@ -201,7 +199,7 @@ def insertion_instance(
     """
     need = q_size + extra_points + k + 2 * k
     if kappa < need + 2:
-        raise ValueError(f"kappa={kappa} too small for the requested layout")
+        raise BadArgument(f"kappa={kappa} too small for the requested layout")
     ordinals = sorted(rng.sample(range(kappa), need))
     low, rest = ordinals[: q_size + extra_points], ordinals[q_size + extra_points:]
     q_part = sorted(rng.sample(low, q_size))

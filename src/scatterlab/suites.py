@@ -25,14 +25,7 @@ from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import amalgam, generic, poset, sampling, universe
-from .errors import (
-    BadArgument,
-    EqualSup,
-    HypothesisViolated,
-    NotGoodTwins,
-    ScatterlabError,
-    UnknownSuite,
-)
+from .errors import BadArgument, EqualSup, HypothesisViolated, NotGoodTwins, ScatterlabError
 from .poset import Condition
 from .universe import MAX_KAPPA, PairFunction
 
@@ -572,12 +565,18 @@ def run_suite(
     density: float = DEFAULT_DENSITY,
     inputs: Optional[dict] = None,
 ) -> RunReport:
-    """Run suite ``name``; an input outside its :data:`SUITES` entry raises
+    """Run suite ``name``; an input outside its :data:`SUITES` entry, a
+    ``density`` outside 0..1, ``trials`` below 0 or ``jobs`` below 1 raises
     :class:`BadArgument`."""
     if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+        raise BadArgument(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
     suite = SUITES[name]
     universe.check_kappa(kappa)
+    universe.check_density(density)
+    if trials is not None and trials < 0:
+        raise BadArgument(f"--trials must be at least 0, got {trials}")
+    if jobs < 1:
+        raise BadArgument(f"--jobs must be at least 1, got {jobs}")
     if f is not None and suite.f_trials is None:
         raise BadArgument(f"suite {name} does not read --f")
     if f is None and suite.kappa is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BadArgument, BNotBelow, DisjointnessViolated, OutOfUniverse
+from .errors import BadArgument
 
 MAX_KAPPA = 64  # the largest carrier the commands and the suites accept
 
@@ -26,10 +26,16 @@ def check_kappa(kappa: int) -> int:
     return kappa
 
 
+def check_density(density: float) -> None:
+    """Refuse a ``density`` that is not a probability, NaN included."""
+    if not 0.0 <= density <= 1.0:
+        raise BadArgument(f"density must be between 0 and 1, got {density}")
+
+
 def pair(x: int, y: int) -> tuple[int, int]:
     """Order a two-element pair as ``(lo, hi)``."""
     if x == y:
-        raise ValueError(f"pair needs distinct ordinals, got {x} twice")
+        raise BadArgument(f"pair needs distinct ordinals, got {x} twice")
     return (x, y) if x < y else (y, x)
 
 
@@ -38,10 +44,10 @@ def _checked_entry(kappa: int, key: tuple[int, int], val: Iterable[int]) -> tupl
     carrier or a value not below the pair's minimum."""
     a, b = pair(*key)
     if a < 0 or b >= kappa:
-        raise OutOfUniverse(f"pair ({a},{b}) lies outside the carrier 0..{kappa - 1}")
+        raise BadArgument(f"pair ({a},{b}) lies outside the carrier 0..{kappa - 1}")
     fs = frozenset(int(g) for g in val)
     if any(g < 0 or g >= a for g in fs):
-        raise ValueError(f"value of pair ({a},{b}) must lie below {a}, got {sorted(fs)}")
+        raise BadArgument(f"value of pair ({a},{b}) must lie below {a}, got {sorted(fs)}")
     return (a, b), fs
 
 
@@ -62,7 +68,7 @@ class PairFunction:
     def build(kappa: int, entries: Mapping[tuple[int, int], Iterable[int]] | None = None) -> "PairFunction":
         """Normalize ``entries`` and fill every missing pair with the empty set."""
         if kappa < 1:
-            raise ValueError(f"kappa must be at least 1, got {kappa}")
+            raise BadArgument(f"kappa must be at least 1, got {kappa}")
         values = {(a, b): frozenset() for a in range(kappa) for b in range(a + 1, kappa)}
         values.update(_checked_entry(kappa, key, val) for key, val in (entries or {}).items())
         return PairFunction(kappa, values)
@@ -80,16 +86,15 @@ class PairFunction:
         for s in sets:
             for x in s:
                 if x < 0 or x >= self.kappa:
-                    raise OutOfUniverse(f"ordinal {x} outside carrier of size {self.kappa}")
+                    raise BadArgument(f"ordinal {x} outside carrier of size {self.kappa}")
 
 
 def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
     """Seed-deterministic pair function; each eligible ordinal enters with
     probability ``density``, independently."""
     if kappa < 1:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0,1], got {density}")
+        raise BadArgument(f"kappa must be at least 1, got {kappa}")
+    check_density(density)
     rng = random.Random(seed)
     values: dict[tuple[int, int], frozenset[int]] = {}
     for a in range(kappa):
@@ -121,10 +126,6 @@ def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) ->
                 if alpha < gamma and not f.value(alpha, beta) <= f.value(gamma, beta):
                     out.append(f"(c) at alpha={alpha}, beta={beta}, gamma={gamma}")
     return out
-
-
-def is_good_pair(f: PairFunction, x: Iterable[int], y: Iterable[int]) -> bool:
-    return not good_pair_violations(f, x, y)
 
 
 @dataclass(frozen=True)
@@ -168,19 +169,19 @@ def search_common_lower_bound(
     """First (lexicographic) choice of ``n`` groups whose pairwise ``f``-values
     all contain ``bound``; ``None`` when the exhaustive scan finds no witness.
     """
+    if n < 1:
+        raise BadArgument(f"--n must be at least 1, got {n}")
     groups = [frozenset(c) for c in c_list]
     b = frozenset(bound)
     f.check_members(b, *groups)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     for (i, ci), (j, cj) in combinations(enumerate(groups), 2):
         if ci & cj:
-            raise DisjointnessViolated(f"groups {i} and {j} overlap on {sorted(ci & cj)}")
+            raise BadArgument(f"groups {i} and {j} overlap on {sorted(ci & cj)}")
     if b:
         top = max(b)
         for i, ci in enumerate(groups):
             if ci and min(ci) <= top:
-                raise BNotBelow(f"max(bound)={top} not below group {i} (min {min(ci)})")
+                raise BadArgument(f"max(bound)={top} not below group {i} (min {min(ci)})")
 
     def covered(chosen: tuple[int, ...]) -> bool:
         for i, j in combinations(chosen, 2):

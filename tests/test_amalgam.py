@@ -46,7 +46,6 @@ class TestTwins:
         w = are_twins(P, Q)
         assert w is not None
         assert w.e == ((0, 0), (1, 2))
-        assert w.common == {0}
 
     def test_h_mismatch_rejected(self):
         q = Condition([0, 2], {0: {0}, 2: {2}}, {(0, 2): set()})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scatterlab.errors import ParseError
+from scatterlab.errors import BadArgument, ParseError
 from scatterlab.formats import (
     dump_condition,
     dump_pair_function,
@@ -77,7 +77,7 @@ class TestParseErrors:
             load_pair_function('{"kappa": 4, "f": [[3, 2, [0]]]}')
 
     def test_value_bound_checked(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(BadArgument, match=r"value of pair \(1,2\) must lie below 1, got \[1\]"):
             load_pair_function('{"kappa": 4, "f": [[1, 2, [1]]]}')
 
     def test_condition_ascending_a(self):

@@ -8,7 +8,7 @@ import pytest
 import scatterlab.poset
 from scatterlab import formats
 from scatterlab.cli import main
-from scatterlab.errors import BadArgument, ScatterlabError, UnknownSuite
+from scatterlab.errors import BadArgument, ScatterlabError
 from scatterlab.generic import NbhdGoal, PointGoal
 from scatterlab.poset import basic_nbhd
 from scatterlab.sampling import random_space
@@ -21,7 +21,7 @@ SUITE_TABLE_HEADER = "| suite | reads `--f` | `--kappa` without `--f` | default 
 
 class TestHarnessContract:
     def test_unknown_suite_raises(self):
-        with pytest.raises(UnknownSuite):
+        with pytest.raises(BadArgument, match="unknown suite 'no-such-suite'; available: "):
             run_suite("no-such-suite")
 
     def test_passing_report_has_no_witnesses(self):
@@ -70,6 +70,30 @@ class TestHarnessContract:
         assert set(doc) == {"command", "inputs", "outcome", "witnesses", "seed", "notes"}
         assert doc["seed"] == 1
         assert doc["command"] == "props:insertion"
+
+
+class TestArguments:
+    """``run_suite`` refuses what ``props`` refuses, with the line ``props`` prints."""
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("density", 2.0, "density must be between 0 and 1, got 2.0"),
+            ("trials", -1, "--trials must be at least 0, got -1"),
+            ("jobs", 0, "--jobs must be at least 1, got 0"),
+        ],
+        ids=["density", "trials", "jobs"],
+    )
+    def test_refused_with_the_props_message(self, argument, value, message, capsys):
+        args = {"trials": 3, argument: value}
+        with pytest.raises(BadArgument) as refused:
+            run_suite("twins-amalgam", **args)
+        assert str(refused.value) == message
+        argv = ["props", "--suite", "twins-amalgam"]
+        for name, given in args.items():
+            argv += [f"--{name}", str(given)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSuiteTable:

@@ -3,11 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scatterlab.errors import BNotBelow, DisjointnessViolated, OutOfUniverse
+from scatterlab.errors import BadArgument
 from scatterlab.universe import (
     PairFunction,
     good_pair_violations,
-    is_good_pair,
     pair_closure,
     random_pair_function,
     search_common_lower_bound,
@@ -43,11 +42,11 @@ class TestPairFunction:
             assert a < b < 10
 
     def test_build_rejects_bad_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadArgument, match=r"value of pair \(1,3\) must lie below 1, got \[2\]"):
             PairFunction.build(4, {(1, 3): {2}})
 
     def test_build_rejects_out_of_range_pair(self):
-        with pytest.raises(OutOfUniverse):
+        with pytest.raises(BadArgument, match=r"pair \(2,5\) lies outside the carrier 0..2"):
             PairFunction.build(3, {(2, 5): set()})
 
     @pytest.mark.parametrize("kappa", [1, 2, 5, 17, 64])
@@ -60,23 +59,25 @@ class TestPairFunction:
 
 class TestUpdated:
     @pytest.mark.parametrize(
-        "override, error",
+        "override, message",
         [
-            ({(2, 2): set()}, ValueError),
-            ({(1, 6): set()}, OutOfUniverse),
-            ({(3, 1): {1}}, ValueError),
-            ({(2, 4): {0, 3}}, ValueError),
-            ({(2, 4): {-1}}, ValueError),
-            ({(-1, 2): set()}, OutOfUniverse),
-            ({(3, -2): set()}, OutOfUniverse),
+            ({(2, 2): set()}, r"pair needs distinct ordinals, got 2 twice"),
+            ({(1, 6): set()}, r"pair \(1,6\) lies outside the carrier 0..5"),
+            ({(3, 1): {1}}, r"value of pair \(1,3\) must lie below 1, got \[1\]"),
+            ({(2, 4): {0, 3}}, r"value of pair \(2,4\) must lie below 2, got \[0, 3\]"),
+            ({(2, 4): {-1}}, r"value of pair \(2,4\) must lie below 2, got \[-1\]"),
+            ({(-1, 2): set()}, r"pair \(-1,2\) lies outside the carrier 0..5"),
+            ({(3, -2): set()}, r"pair \(-2,3\) lies outside the carrier 0..5"),
         ],
+        ids=["equal-ordinals", "beyond-carrier", "value-at-minimum", "value-above-minimum",
+             "negative-value", "negative-low-ordinal", "negative-swapped-ordinal"],
     )
-    def test_rejects_what_build_rejects(self, override, error):
+    def test_rejects_what_build_rejects(self, override, message):
         f = random_pair_function(6, 0.5, 1)
         before = dict(f.values)
-        with pytest.raises(error) as from_updated:
+        with pytest.raises(BadArgument, match=message) as from_updated:
             f.updated(override)
-        with pytest.raises(error) as from_build:
+        with pytest.raises(BadArgument, match=message) as from_build:
             PairFunction.build(6, override)
         assert str(from_updated.value) == str(from_build.value)
         assert f.values == before
@@ -102,19 +103,18 @@ class TestUpdated:
 
 class TestGoodPair:
     def test_disjoint_sets_good(self):
-        assert is_good_pair(small_f(), {0, 1}, {2, 3})
+        assert not good_pair_violations(small_f(), {0, 1}, {2, 3})
 
     def test_equal_sets_good(self):
-        assert is_good_pair(small_f(), {1, 2, 4}, {1, 2, 4})
+        assert not good_pair_violations(small_f(), {1, 2, 4}, {1, 2, 4})
 
     def test_clause_a_counterexample(self):
         f = PairFunction.build(4, {(2, 3): {0}})
-        assert not is_good_pair(f, {1, 2}, {1, 3})
         assert any(v.startswith("(a)") for v in good_pair_violations(f, {1, 2}, {1, 3}))
 
     def test_out_of_universe(self):
-        with pytest.raises(OutOfUniverse):
-            is_good_pair(small_f(kappa=4), {1, 9}, {2})
+        with pytest.raises(BadArgument, match="ordinal 9 outside carrier of size 4"):
+            good_pair_violations(small_f(kappa=4), {1, 9}, {2})
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**30), st.floats(0, 1), st.data())
@@ -122,8 +122,9 @@ class TestGoodPair:
         f = random_pair_function(6, density, seed)
         x = frozenset(data.draw(st.sets(st.integers(0, 5), max_size=6)))
         y = frozenset(data.draw(st.sets(st.integers(0, 5), max_size=6)))
-        assert is_good_pair(f, x, y) == is_good_pair(f, y, x)
-        assert is_good_pair(f, x, y) == oracle_good_pair(f, x, y)
+        good = not good_pair_violations(f, x, y)
+        assert good == (not good_pair_violations(f, y, x))
+        assert good == oracle_good_pair(f, x, y)
 
 
 class TestPairClosure:
@@ -197,10 +198,15 @@ class TestSearchCommonLowerBound:
                     for eta in groups[j]:
                         assert {0, 1} <= f.value(xi, eta)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_checked_first(self, n):
+        with pytest.raises(BadArgument, match=f"^--n must be at least 1, got {n}$"):
+            search_common_lower_bound(small_f(kappa=4), [{9}], {7}, n)
+
     def test_disjointness_enforced(self):
-        with pytest.raises(DisjointnessViolated):
+        with pytest.raises(BadArgument, match=r"groups 0 and 1 overlap on \[3\]"):
             search_common_lower_bound(small_f(), [{2, 3}, {3, 4}], set(), 1)
 
     def test_bound_must_lie_below(self):
-        with pytest.raises(BNotBelow):
+        with pytest.raises(BadArgument, match=r"max\(bound\)=3 not below group 0 \(min 2\)"):
             search_common_lower_bound(small_f(), [{2}, {4}], {3}, 1)
