@@ -79,13 +79,17 @@ def _loads(text: str, what: str) -> Any:
         raise ParseError(f"{what}: invalid JSON ({exc})") from exc
 
 
-def dump_pair_function(f: PairFunction) -> str:
+def pair_function_doc(f: PairFunction) -> dict:
     entries = [
         [a, b, sorted(v)]
         for (a, b), v in sorted(f.values.items())
         if v
     ]
-    return to_text({"kappa": f.kappa, "f": entries})
+    return {"kappa": f.kappa, "f": entries}
+
+
+def dump_pair_function(f: PairFunction) -> str:
+    return to_text(pair_function_doc(f))
 
 
 def load_pair_function(text: str) -> PairFunction:

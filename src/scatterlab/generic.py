@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BadArgument, GoalUnsatisfiable, ScatterlabError, StuckNoFreshPoint
+from .errors import BadArgument, GoalUnsatisfiable, StuckNoFreshPoint
 from .poset import Condition, basic_nbhd, extend_into_neighbourhood, extend_with_point, h_union, star
 from .universe import PairFunction, pair
 
@@ -78,11 +78,12 @@ def sample_filter(
 
     Point goals already satisfied are recorded as met; neighbourhood goals
     are met by inserting a seed-chosen eligible ordinal of ``Z`` unless the
-    neighbourhood already meets ``Z``.  Unsatisfiable goals raise, they are
-    never skipped.
+    neighbourhood already meets ``Z``.  Unsatisfiable goals raise
+    :class:`GoalUnsatisfiable`, they are never skipped; a ``kappa`` or a goal
+    outside ``f``'s carrier raises :class:`BadArgument`.
     """
     if not 1 <= kappa <= f.kappa:
-        raise GoalUnsatisfiable(f"kappa={kappa} not within the pair function's carrier {f.kappa}")
+        raise BadArgument(f"kappa={kappa} not within the pair function's carrier {f.kappa}")
     rng = random.Random(seed)
     chain: list[Condition] = [Condition.empty()]
     log: list[GoalRecord] = []
@@ -91,7 +92,7 @@ def sample_filter(
         dom = set(cur.a)
         if isinstance(goal, PointGoal):
             if not 0 <= goal.alpha < kappa:
-                raise GoalUnsatisfiable(f"point goal {goal.alpha} outside carrier {kappa}")
+                raise BadArgument(f"point goal {goal.alpha} outside carrier {kappa}")
             if goal.alpha in dom:
                 log.append(GoalRecord(goal, "already-met", len(chain) - 1))
                 continue
@@ -99,7 +100,7 @@ def sample_filter(
             log.append(GoalRecord(goal, "extended", len(chain) - 1, goal.alpha))
         elif isinstance(goal, NbhdGoal):
             if any(z < 0 or z >= kappa for z in goal.Z) or not 0 <= goal.beta < kappa:
-                raise GoalUnsatisfiable(f"goal {goal} references ordinals outside carrier {kappa}")
+                raise BadArgument(f"goal {goal} references ordinals outside carrier {kappa}")
             if goal.beta not in dom:
                 raise GoalUnsatisfiable(f"beta={goal.beta} not yet in the domain")
             if not goal.b <= {x for x in dom if x < goal.beta}:
@@ -252,7 +253,8 @@ def is_free_sequence(space: SpaceModel, seq: Sequence[int]) -> bool:
 
 
 def cantor_bendixson(space: SpaceModel) -> dict[int, int]:
-    """Rank of each point in the iterated isolated-point hierarchy."""
+    """Rank of each point in the iterated isolated-point hierarchy; the points
+    of a perfect kernel, where the derivative stabilizes, get no rank."""
     remaining = set(space.carrier)
     nbhds = {x: minimal_nbhd(space, x) for x in space.carrier}
     ranks: dict[int, int] = {}
@@ -260,7 +262,7 @@ def cantor_bendixson(space: SpaceModel) -> dict[int, int]:
     while remaining:
         isolated = [x for x in remaining if nbhds[x] & remaining == {x}]
         if not isolated:
-            raise ScatterlabError(f"derivative stabilized on {sorted(remaining)}; not scattered")
+            break
         for x in isolated:
             ranks[x] = stage
         remaining -= set(isolated)

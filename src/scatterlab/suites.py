@@ -25,7 +25,7 @@ from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import amalgam, generic, poset, sampling, universe
-from .errors import BadArgument, EqualSup, HypothesisViolated, NotGoodTwins, ScatterlabError
+from .errors import BadArgument, EqualSup, HypothesisViolated, NotGoodTwins
 from .poset import Condition
 from .universe import MAX_KAPPA, PairFunction
 
@@ -423,18 +423,14 @@ def _space_trial(ctx: SuiteContext, trial: int) -> _Tally:
     )
     tally.hit("old-set-scheduled-goals", oldset, wit)
 
-    try:
-        ranks = generic.cantor_bendixson(space)
-        tally.hit("cb-total", set(ranks) == set(space.carrier), wit)
-        levels = generic.cb_levels(ranks)
-        discrete = all(
-            generic.minimal_nbhd(space, x) & frozenset(xs) == {x}
-            for xs in levels.values()
-            for x in xs
-        )
-        tally.hit("cb-levels-discrete", discrete, wit)
-    except ScatterlabError as exc:
-        tally.hit("cb-total", False, {**wit, "reason": str(exc)})
+    ranks = generic.cantor_bendixson(space)
+    tally.hit("cb-total", set(ranks) == set(space.carrier), wit)
+    discrete = all(
+        generic.minimal_nbhd(space, x) & frozenset(xs) == {x}
+        for xs in generic.cb_levels(ranks).values()
+        for x in xs
+    )
+    tally.hit("cb-levels-discrete", discrete, wit)
     tally.notes.update({"coherent-spaces-observed": int(generic.is_coherent(space)), "spaces": 1})
     return tally
 

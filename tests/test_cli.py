@@ -1,8 +1,10 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+from scatterlab import cli
 from scatterlab.cli import main
 
 WORKED_F = {"kappa": 4, "f": [[1, 2, [0]]]}
@@ -71,6 +73,14 @@ class TestValidate:
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")
         assert main(["validate", "--f", f, "--cond", str(bad)]) == 2
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", WORKED_F)
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["validate", "--f", f, "--cond", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
 
     def test_missing_file(self, tmp_path, capsys):
         f = write(tmp_path, "f.json", WORKED_F)
@@ -357,6 +367,72 @@ def test_twins_kappa_minimum_applies_only_without_f(tmp_path, capsys):
     assert main(["props", "--suite", "twins-amalgam", "--trials", "2", "--kappa", "8"]) == 0
     f = write(tmp_path, "f.json", WORKED_F)
     assert main(["props", "--suite", "twins-amalgam", "--trials", "2", "--kappa", "3", "--f", f]) == 0
+
+
+@pytest.mark.parametrize(
+    "schedule, flags, named",
+    [
+        ([{"point": 9}], [], "point goal 9 outside carrier 4"),
+        ([], ["--kappa", "8"], "kappa=8 not within the pair function's carrier 4"),
+    ],
+    ids=["point-outside-carrier", "kappa-above-carrier"],
+)
+def test_sample_space_range_fault_is_an_input_error(schedule, flags, named, tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"kappa": 4, "f": []})
+    sched = write(tmp_path, "s.json", schedule)
+    code = main(["sample-space", "--f", f, "--schedule", sched, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: {named}\n")
+
+
+def test_check_space_reports_a_space_that_is_not_scattered(tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"kappa": 2, "H": [[0, [0, 1]], [1, [0, 1]]], "i": []})
+    code = main(["check-space", "--space", space])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    doc = json.loads(captured.out)
+    assert doc["max_invariant_violations"] == [0]
+    assert doc["cb_rank_histogram"] == {}
+
+
+CLI_TREE = ast.parse(Path(cli.__file__).read_text())
+FUNCTIONS = {node.name: node for node in CLI_TREE.body if isinstance(node, ast.FunctionDef)}
+COMMANDS = sorted(name for name in FUNCTIONS if name.startswith("cmd_"))
+EXIT_CODES = {"EXIT_OK", "EXIT_FAIL", "EXIT_INPUT"}
+
+
+def _emits(node: ast.AST) -> bool:
+    """Whether ``node`` prints, touches ``sys.stdout`` or reads ``.quiet``."""
+    return any(
+        isinstance(sub, ast.Name) and sub.id == "print"
+        or isinstance(sub, ast.Attribute) and sub.attr in {"stdout", "quiet"}
+        for sub in ast.walk(node)
+    )
+
+
+def _names_exit_code(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id in EXIT_CODES for sub in ast.walk(node))
+
+
+class TestOutcomeShape:
+    """Only ``main`` prints, honours ``--quiet`` and names an exit code; every
+    command returns ``(report, ok)``."""
+
+    def test_every_command_is_found(self):
+        assert len(COMMANDS) == 10
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_returns_report_and_verdict(self, name):
+        returns = [node for node in ast.walk(FUNCTIONS[name]) if isinstance(node, ast.Return)]
+        assert returns
+        assert all(isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2 for node in returns)
+
+    def test_only_main_emits(self):
+        assert {name for name, node in FUNCTIONS.items() if _emits(node)} == {"main"}
+
+    def test_only_main_names_an_exit_code(self):
+        assert {name for name, node in FUNCTIONS.items() if _names_exit_code(node)} == {"main"}
 
 
 @pytest.mark.slow

@@ -95,6 +95,24 @@ def cli_inputs(tmp_path):
 
 # (argv, exit code, sha256 of stdout, sha256 of the --out file or None)
 CLI_ARTIFACTS = {
+    "gen-f": (
+        ["gen-f", "--kappa", "6", "--seed", "2"],
+        0,
+        "9dafc9b2504950c826b3617d425ef1a54aa09b873c5e863144d4717b65fc9a8b",
+        None,
+    ),
+    "gen-f-out": (
+        ["gen-f", "--kappa", "6", "--seed", "2", "--out", "{out}"],
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9dafc9b2504950c826b3617d425ef1a54aa09b873c5e863144d4717b65fc9a8b",
+    ),
+    "props": (
+        ["props", "--suite", "star-laws"],
+        0,
+        "8d9147740e7c3863717d2f61c3370f5d753c6ca169d6148dc70eb370264915ef",
+        None,
+    ),
     "validate": (
         ["validate", "--f", "{f}", "--cond", "{p}"],
         0,
@@ -182,11 +200,17 @@ CLI_ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLI_ARTIFACTS))
-def test_cli_artifact(name, cli_inputs, capsys):
+@pytest.mark.parametrize(
+    "name, quiet",
+    [pytest.param(name, quiet, id=f"{name}-quiet" if quiet else name)
+     for name in sorted(CLI_ARTIFACTS) for quiet in (False, True)],
+)
+def test_cli_artifact(name, quiet, cli_inputs, capsys):
+    # --quiet empties stdout and changes neither the exit code nor the --out file.
     argv, code, stdout_digest, out_digest = CLI_ARTIFACTS[name]
-    assert main([arg.format(**cli_inputs) for arg in argv]) == code
-    assert sha256(capsys.readouterr().out) == stdout_digest
+    assert main([arg.format(**cli_inputs) for arg in argv] + ["--quiet"] * quiet) == code
+    out = capsys.readouterr().out
+    assert (out == "") if quiet else (sha256(out) == stdout_digest)
     if out_digest is not None:
         with open(cli_inputs["out"]) as handle:
             assert sha256(handle.read()) == out_digest

@@ -91,8 +91,18 @@ class TestSampleFilter:
 
     def test_out_of_carrier_goal(self):
         f = random_pair_function(4, 0.5, 0)
-        with pytest.raises(GoalUnsatisfiable):
+        with pytest.raises(BadArgument):
             sample_filter(f, 4, [PointGoal(9)], seed=0)
+
+    @pytest.mark.parametrize(
+        "kappa, goals",
+        [(8, []), (0, []), (4, [NbhdGoal(3, frozenset(), frozenset({5}))]), (4, [NbhdGoal(6, frozenset(), frozenset())])],
+        ids=["kappa-above-carrier", "kappa-zero", "nbhd-Z", "nbhd-beta"],
+    )
+    def test_range_faults_are_bad_arguments(self, kappa, goals):
+        f = random_pair_function(4, 0.5, 0)
+        with pytest.raises(BadArgument):
+            sample_filter(f, kappa, goals, seed=0)
 
 
 class TestAssembleSpace:
@@ -287,6 +297,26 @@ class TestCantorBendixson:
             remaining -= set(isolated)
             stage += 1
         assert ranks == {x: x for x in range(kappa)}
+
+    def test_perfect_kernel_gets_no_rank(self):
+        # 1 sits in H(0), so 0 and 1 share every subbase set: neither is isolated
+        space = toy_space({0: {0, 1}, 1: {0, 1}, 2: {2}})
+        assert cantor_bendixson(space) == {2: 0}
+        assert max_invariant_violations(space) == [0]
+
+    def test_unranked_points_only_where_the_max_invariant_fails(self):
+        # With max H(a) = a every minimal neighbourhood is a singleton: for
+        # y < x, x is not in H(y), so the complement of H(y) removes y.
+        rng = random.Random(13)
+        for _ in range(300):
+            kappa = rng.randint(1, 6)
+            H = {a: {b for b in range(kappa) if rng.random() < 0.4} | {a} for a in range(kappa)}
+            space = toy_space(H, kappa)
+            ranks = cantor_bendixson(space)
+            if not max_invariant_violations(space):
+                assert ranks == dict.fromkeys(space.carrier, 0)
+            if set(ranks) != set(space.carrier):
+                assert max_invariant_violations(space)
 
     def test_levels_partition_and_are_discrete(self):
         rng = random.Random(9)
