@@ -6,9 +6,11 @@ part.  *Good* twins additionally agree on ``i`` over the common pairs and
 have domains that form a good pair for the ambient pair function.  One
 checker, :func:`good_twin_violations`, names the failed clauses; the twin
 test and the re-check in :func:`verify_membership_equiv` call it.  For good
-twins the canonical common extension is assembled pointwise; the minimum
-``delta_xi`` of the common-domain ordinals whose neighbourhood sets contain
-``xi`` steers which foreign points join a neighbourhood set.
+twins the canonical common extension is assembled pointwise.  The anchor of
+a point, ``delta_xi``, is the least shared ordinal whose neighbourhood set
+contains it; :func:`anchors` tabulates it once per pair, and one rule reads
+the table: a private neighbourhood set gains the foreign points whose anchor
+it contains.
 
 ``insertion_construction`` is the layered variant: a condition whose domain
 splits into layers ``S < E < F`` is rebuilt on ``S | E`` so that the part of
@@ -86,23 +88,31 @@ def delta_xi(p: Condition, p_prime: Condition, xi: int) -> Optional[int]:
     return hits[0] if hits else None
 
 
+def anchors(p: Condition, p_prime: Condition) -> dict[int, Optional[int]]:
+    """The ``delta_xi`` anchor of every point of either domain."""
+    return {xi: delta_xi(p, p_prime, xi) for xi in frozenset(p.a) | frozenset(p_prime.a)}
+
+
+def _join_foreign(own: frozenset[int], foreign: Iterable[int], anchor: dict[int, Optional[int]]) -> frozenset[int]:
+    """``own`` plus the foreign points whose anchor it contains; ``None`` is in no set."""
+    return own | frozenset(eta for eta in foreign if anchor[eta] in own)
+
+
 def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     """Canonical common extension of a good-twin pair.
 
     The domain is the union.  A shared point keeps the union of its two
     neighbourhood sets; a point private to one side keeps its own set plus
-    those foreign points whose ``delta_xi`` it already contains.  The
-    covering index keeps both old indices and falls back to the ambient
-    pair function on mixed pairs.
+    those foreign points whose anchor it already contains.  The covering
+    index keeps both old indices and falls back to the ambient pair function
+    on mixed pairs.
     """
     bad = good_twin_violations(f, p, p_prime)
     if bad:
         raise NotGoodTwins(bad)
     a, a2 = frozenset(p.a), frozenset(p_prime.a)
     b = a | a2
-
-    def delta(x: int) -> Optional[int]:
-        return delta_xi(p, p_prime, x)
+    anchor = anchors(p, p_prime)
 
     g: dict[int, frozenset[int]] = {}
     for xi in b:
@@ -110,9 +120,7 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
             g[xi] = p.h[xi] | p_prime.h[xi]
         else:
             own, foreign = (p, a2 - a) if xi in a else (p_prime, a - a2)
-            g[xi] = own.h[xi] | frozenset(
-                eta for eta in foreign if delta(eta) is not None and delta(eta) in own.h[xi]
-            )
+            g[xi] = _join_foreign(own.h[xi], foreign, anchor)
 
     j: dict[tuple[int, int], frozenset[int]] = {}
     for x, y in combinations(sorted(b), 2):
@@ -125,32 +133,40 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     return Condition(b, g, j)
 
 
-def verify_membership_equiv(
-    p: Condition, p_prime: Condition, f: PairFunction | None = None
-) -> bool:
+def verify_membership_equiv(p: Condition, p_prime: Condition, f: PairFunction | None) -> bool:
     """Membership through the shared domain is equivalent to membership of
-    the ``delta_xi`` anchor.
+    the anchor.
 
     For every ``eta`` in one twin's domain and every shared ``delta``:
     ``eta in h(delta)`` exactly when ``delta_xi(eta)`` is defined and sits in
     ``h(delta)``.  The twin clauses are re-checked with
-    :func:`good_twin_violations` (goodness only when ``f`` is supplied); a
-    ``False`` return on a genuine good-twin pair is a bug witness, not an
+    :func:`good_twin_violations` (goodness only when ``f`` is not ``None``);
+    a ``False`` return on a genuine good-twin pair is a bug witness, not an
     expected outcome.
     """
     bad = good_twin_violations(f, p, p_prime)
     if bad:
         raise NotGoodTwins(bad)
     common = frozenset(p.a) & frozenset(p_prime.a)
-    for one, other in ((p, p_prime), (p_prime, p)):
+    anchor = anchors(p, p_prime)
+    for one in (p, p_prime):
         for eta in one.a:
-            d_eta = delta_xi(p, p_prime, eta)
             for delta in common:
-                lhs = eta in one.h[delta]
-                rhs = d_eta is not None and d_eta in one.h[delta]
-                if lhs != rhs:
+                if (eta in one.h[delta]) != (anchor[eta] in one.h[delta]):
                     return False
     return True
+
+
+def g_well_defined(p: Condition, q: Condition) -> bool:
+    """The three expressions for a shared point's merged neighbourhood set
+    coincide: the union of both sets, and either set with the other side's
+    private points joined by the foreign-point rule."""
+    a, a2 = frozenset(p.a), frozenset(q.a)
+    anchor = anchors(p, q)
+    return all(
+        p.h[xi] | q.h[xi] == _join_foreign(p.h[xi], a2 - a, anchor) == _join_foreign(q.h[xi], a - a2, anchor)
+        for xi in a & a2
+    )
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def _int_set_list(text: str) -> list[frozenset[int]]:
 
 
 def cmd_gen_f(args) -> Outcome:
-    f = universe.random_pair_function(universe.check_kappa(args.kappa), args.density, args.seed)
+    f = universe.random_pair_function(args.kappa, args.density, args.seed)
     if not args.out:
         return formats.pair_function_doc(f), True
     _write(args.out, formats.dump_pair_function(f))

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import ParseError
 from .generic import Goal, NbhdGoal, PointGoal, SpaceModel
 from .poset import Condition
-from .universe import PairFunction
+from .universe import PairFunction, check_kappa
 
 
 def to_text(obj: Any) -> str:
@@ -36,9 +36,9 @@ def _as_int_list(value: Any, what: str, ascending: bool = True) -> list[int]:
 
 
 def _kappa(value: Any) -> int:
-    if not _is_int(value) or value < 1:
+    if not _is_int(value):
         raise ParseError(f"kappa must be a positive integer, got {value!r}")
-    return value
+    return check_kappa(value)
 
 
 def _point_sets(value: Any, key: str) -> dict[int, frozenset[int]]:

@@ -33,8 +33,9 @@ def _subsets(pool: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from combinations(pool, r)
 
 
-def random_subset(rng: random.Random, pool: Sequence[int], p: float = 0.5) -> frozenset[int]:
-    return frozenset(x for x in pool if rng.random() < p)
+def random_subset(rng: random.Random, pool: Sequence[int]) -> frozenset[int]:
+    """Each member of ``pool`` enters with probability one half."""
+    return frozenset(x for x in pool if rng.random() < 0.5)
 
 
 def random_condition(
@@ -69,7 +70,7 @@ def random_condition(
     for x, y in combinations(p.a, 2):
         room = (f.value(x, y) & frozenset(p.a)) - p.i_value(x, y)
         if room and rng.random() < 0.5:
-            i[pair(x, y)] = p.i_value(x, y) | random_subset(rng, sorted(room), 0.5)
+            i[pair(x, y)] = p.i_value(x, y) | random_subset(rng, sorted(room))
     return Condition(p.a, p.h, i)
 
 
@@ -301,12 +302,10 @@ def space_schedule(
 def random_space(
     f: PairFunction,
     seed: int,
-    kappa: Optional[int] = None,
     nbhd_goals: int = 10,
 ) -> tuple[SpaceModel, FilterSample, list[Goal]]:
-    """Sampled space over ``f`` via a generated schedule."""
-    kappa = kappa if kappa is not None else f.kappa
+    """Sampled space over the whole carrier of ``f`` via a generated schedule."""
     rng = random.Random(seed)
-    goals = space_schedule(f, rng, kappa, nbhd_goals)
-    sample = sample_filter(f, kappa, goals, seed=rng.randint(0, 2**32))
+    goals = space_schedule(f, rng, f.kappa, nbhd_goals)
+    sample = sample_filter(f, f.kappa, goals, seed=rng.randint(0, 2**32))
     return assemble_space(sample), sample, goals

@@ -231,24 +231,6 @@ def _poset_laws_trial(ctx: SuiteContext, trial: int) -> _Tally:
 
 # twins-amalgam ------------------------------------------------------------
 
-def g_well_defined(p: Condition, q: Condition) -> bool:
-    """The three equivalent expressions for a shared point's merged
-    neighbourhood set coincide."""
-    a, a2 = frozenset(p.a), frozenset(q.a)
-    d = {eta: amalgam.delta_xi(p, q, eta) for eta in a | a2}
-    for xi in a & a2:
-        e1 = p.h[xi] | q.h[xi]
-        e2 = p.h[xi] | frozenset(
-            eta for eta in a2 - a if d[eta] is not None and d[eta] in p.h[xi]
-        )
-        e3 = q.h[xi] | frozenset(
-            eta for eta in a - a2 if d[eta] is not None and d[eta] in q.h[xi]
-        )
-        if not e1 == e2 == e3:
-            return False
-    return True
-
-
 def _twins_trial(ctx: SuiteContext, trial: int) -> _Tally:
     rng = random.Random(derive_seed(ctx.seed, trial, "twins-rng"))
     f = ctx.f
@@ -271,7 +253,7 @@ def _twins_trial(ctx: SuiteContext, trial: int) -> _Tally:
     tally.hit("below-right", poset.leq(r, q), wit)
     tally.hit("symmetric", amalgam.amalgamate(f2, q, p) == r, wit)
     tally.hit("membership-equivalence", amalgam.verify_membership_equiv(p, q, f2), wit)
-    tally.hit("merged-h-well-defined", g_well_defined(p, q), wit)
+    tally.hit("merged-h-well-defined", amalgam.g_well_defined(p, q), wit)
     return tally
 
 

@@ -67,8 +67,7 @@ class PairFunction:
     @staticmethod
     def build(kappa: int, entries: Mapping[tuple[int, int], Iterable[int]] | None = None) -> "PairFunction":
         """Normalize ``entries`` and fill every missing pair with the empty set."""
-        if kappa < 1:
-            raise BadArgument(f"kappa must be at least 1, got {kappa}")
+        check_kappa(kappa)
         values = {(a, b): frozenset() for a in range(kappa) for b in range(a + 1, kappa)}
         values.update(_checked_entry(kappa, key, val) for key, val in (entries or {}).items())
         return PairFunction(kappa, values)
@@ -92,8 +91,7 @@ class PairFunction:
 def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
     """Seed-deterministic pair function; each eligible ordinal enters with
     probability ``density``, independently."""
-    if kappa < 1:
-        raise BadArgument(f"kappa must be at least 1, got {kappa}")
+    check_kappa(kappa)
     check_density(density)
     rng = random.Random(seed)
     values: dict[tuple[int, int], frozenset[int]] = {}

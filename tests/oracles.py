@@ -85,6 +85,48 @@ def oracle_good_twins(f, p, q) -> bool:
     return f is None or oracle_good_pair(f, p.a, q.a)
 
 
+def oracle_anchor(p, q, eta):
+    """The least ordinal in both domains whose neighbourhood set, in ``p`` or
+    in ``q``, holds ``eta``; None when no shared ordinal's set holds it."""
+    best = None
+    for d in p.a:
+        if d in q.a and (eta in p.h[d] or eta in q.h[d]):
+            if best is None or d < best:
+                best = d
+    return best
+
+
+def oracle_amalgamate(f, p, q):
+    """The canonical common extension of good twins ``p`` and ``q`` as a
+    triple ``(domain, h, i)``, built from the definition: a shared point
+    takes the union of its two sets; a point of one side only takes its own
+    set plus each point of the other side only whose anchor lies in that
+    set; ``i`` is copied from the side holding both ends of a pair and is
+    ``f`` cut to the domain on a mixed pair."""
+    dom = sorted(set(p.a) | set(q.a))
+    h = {}
+    for xi in dom:
+        if xi in p.a and xi in q.a:
+            h[xi] = set(p.h[xi]) | set(q.h[xi])
+            continue
+        own, other = (p, q) if xi in p.a else (q, p)
+        h[xi] = set(own.h[xi])
+        for eta in other.a:
+            if eta not in own.a:
+                d = oracle_anchor(p, q, eta)
+                if d is not None and d in own.h[xi]:
+                    h[xi].add(eta)
+    i = {}
+    for x, y in combinations(dom, 2):
+        if x in p.a and y in p.a:
+            i[(x, y)] = set(p.i[(x, y)])
+        elif x in q.a and y in q.a:
+            i[(x, y)] = set(q.i[(x, y)])
+        else:
+            i[(x, y)] = set(f.value(x, y)) & set(dom)
+    return dom, h, i
+
+
 def oracle_validate(f, p) -> list[str]:
     """Clause-by-clause condition check, distinct from the library's
     validator and from every constructor under test."""

@@ -30,8 +30,14 @@ from scatterlab.sampling import (
     random_condition,
     random_space,
 )
-from scatterlab.suites import g_well_defined, run_fu_exhaustive, run_suite
-from scatterlab.amalgam import amalgamate, are_good_twins, insertion_construction, verify_membership_equiv
+from scatterlab.suites import run_fu_exhaustive, run_suite
+from scatterlab.amalgam import (
+    amalgamate,
+    are_good_twins,
+    g_well_defined,
+    insertion_construction,
+    verify_membership_equiv,
+)
 from scatterlab.generic import SpaceModel, closure
 from scatterlab.universe import pair_closure, random_pair_function
 

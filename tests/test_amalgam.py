@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,9 @@ from scatterlab.amalgam import (
     amalgamate,
     are_good_twins,
     are_twins,
+    anchors,
     delta_xi,
+    g_well_defined,
     good_twin_violations,
     insertion_construction,
     verify_membership_equiv,
@@ -23,11 +26,10 @@ from scatterlab.poset import (
     restrict,
     validate_condition,
 )
-from scatterlab.sampling import good_twin_pair, insertion_instance
-from scatterlab.suites import g_well_defined
+from scatterlab.sampling import good_twin_pair, insertion_instance, iter_conditions
 from scatterlab.universe import PairFunction, random_pair_function
 
-from oracles import oracle_good_twins, oracle_twins, oracle_validate
+from oracles import oracle_amalgamate, oracle_anchor, oracle_good_twins, oracle_twins, oracle_validate
 
 WORKED_F = PairFunction.build(4, {(1, 2): {0}})
 P = Condition([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
@@ -131,7 +133,7 @@ class TestTwinOracle:
         seen = set()
         for _, p, q in twin_oracle_cases():
             try:
-                verify_membership_equiv(p, q)
+                verify_membership_equiv(p, q, None)
                 raised = False
             except NotGoodTwins:
                 raised = True
@@ -203,11 +205,59 @@ class TestMembershipEquiv:
         assert verify_membership_equiv(P, Q, WORKED_F)
 
     def test_twin_check_without_f(self):
-        assert verify_membership_equiv(P, Q)
+        assert verify_membership_equiv(P, Q, None)
 
     def test_rejects_non_twins(self):
         with pytest.raises(NotGoodTwins):
-            verify_membership_equiv(P, Condition.single(0))
+            verify_membership_equiv(P, Condition.single(0), None)
+
+
+# Bounded-exhaustive scope: every valid condition of size 1 to 3 on the carrier
+# of a dense pair function over 6 ordinals, where interleaved good twins exist
+# and the anchor rule pulls foreign points into private neighbourhood sets.
+SMALL_F = random_pair_function(6, 1.0, 0)
+
+
+@pytest.fixture(scope="module")
+def small_same_size_pairs():
+    conds = [
+        p for size in (1, 2, 3) for dom in combinations(range(6), size) for p in iter_conditions(SMALL_F, dom)
+    ]
+    return [(p, q) for p in conds for q in conds if len(p.a) == len(q.a)]
+
+
+@pytest.fixture(scope="module")
+def small_good_twins(small_same_size_pairs):
+    """Every ordered pair of those conditions that the oracle calls good twins."""
+    return [(p, q) for p, q in small_same_size_pairs if oracle_good_twins(SMALL_F, p, q)]
+
+
+def _adds_foreign_point(p, q) -> bool:
+    dom, h, _ = oracle_amalgamate(SMALL_F, p, q)
+    return any(h[xi] != set((p if xi in p.a else q).h[xi]) for xi in dom if (xi in p.a) != (xi in q.a))
+
+
+class TestBoundedExhaustive:
+    def test_scope_reaches_the_foreign_point_rule(self, small_good_twins):
+        assert sum(_adds_foreign_point(p, q) for p, q in small_good_twins) > 0
+
+    def test_checker_matches_oracle(self, small_same_size_pairs):
+        for p, q in small_same_size_pairs:
+            assert (good_twin_violations(SMALL_F, p, q) == []) == oracle_good_twins(SMALL_F, p, q)
+
+    def test_amalgamate_matches_oracle(self, small_good_twins):
+        for p, q in small_good_twins:
+            r = amalgamate(SMALL_F, p, q)
+            assert (list(r.a), r.h, r.i) == oracle_amalgamate(SMALL_F, p, q), (p.key(), q.key())
+
+    def test_anchors_match_oracle(self, small_good_twins):
+        for p, q in small_good_twins:
+            assert anchors(p, q) == {eta: oracle_anchor(p, q, eta) for eta in set(p.a) | set(q.a)}
+
+    def test_anchor_lemmas_hold(self, small_good_twins):
+        for p, q in small_good_twins:
+            assert verify_membership_equiv(p, q, SMALL_F), (p.key(), q.key())
+            assert g_well_defined(p, q), (p.key(), q.key())
 
 
 def build_layout_violation_cases():

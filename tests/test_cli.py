@@ -299,17 +299,19 @@ def test_bad_density_is_an_input_error(command, density, capsys):
         (["--suite", "closure-laws", "--trials", "2", "--f", "{good_f}"], "closure-laws does not read --f"),
         (["--suite", "fu-laws", "--trials", "2", "--f", "{good_f}"], "fu-laws does not read --f"),
         (["--suite", "star-laws", "--trials", "2", "--f", "{good_f}"], "star-laws does not read --f"),
+        (["--suite", "twins-amalgam", "--trials", "2", "--f", "{big_f}"], "kappa must be between 1 and 64, got 70"),
     ],
     ids=[
         "trials", "jobs-negative", "jobs-zero", "twins-kappa", "negative-ordinal", "kappa-cap",
         "insertion-kappa-12", "insertion-kappa-13", "space-checks-kappa-64", "space-checks-kappa-3",
-        "insertion-f", "space-checks-f", "closure-laws-f", "fu-laws-f", "star-laws-f",
+        "insertion-f", "space-checks-f", "closure-laws-f", "fu-laws-f", "star-laws-f", "f-kappa-70",
     ],
 )
 def test_bad_props_input_is_an_input_error(flags, named, tmp_path, capsys):
     negative_f = write(tmp_path, "f.json", {"kappa": 4, "f": [[-1, 2, []]]})
     good_f = write(tmp_path, "g.json", {"kappa": 12, "f": [[4, 5, [0, 1]], [5, 8, [2]]]})
-    code = main(["props", *(flag.format(negative_f=negative_f, good_f=good_f) for flag in flags)])
+    big_f = write(tmp_path, "b.json", {"kappa": 70, "f": []})
+    code = main(["props", *(flag.format(negative_f=negative_f, good_f=good_f, big_f=big_f) for flag in flags)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -329,13 +331,19 @@ GOOD_SPACE = {
     [
         ("close", {"kappa": True, "f": []}, "kappa must be a positive integer"),
         ("check-space", {**GOOD_SPACE, "kappa": True}, "kappa must be a positive integer"),
+        ("close", {"kappa": 70, "f": []}, "kappa must be between 1 and 64, got 70"),
+        ("close", {"kappa": 0, "f": []}, "kappa must be between 1 and 64, got 0"),
+        ("check-space", {**GOOD_SPACE, "kappa": 70}, "kappa must be between 1 and 64, got 70"),
         ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 2, []], [1, 2, [99]]]}, "i entry at (1,2)"),
         ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 2, []], [1, 9, []]]}, "i entry at (1,9)"),
         ("check-space", {**GOOD_SPACE, "H": [[0, [0]], [1, [-1, 1]], [2, [0, 2]]]}, "H value at 1"),
         ("check-space", {**GOOD_SPACE, "i": [[0, 1, []], [0, 1, [0]], [0, 2, []]]}, "duplicate i entry"),
         ("check-space", {**GOOD_SPACE, "H": [[0, [0]], [1, [1]], [1, [1]], [2, [0, 2]]]}, "duplicate H entry"),
     ],
-    ids=["f-kappa-bool", "space-kappa-bool", "i-member", "i-key", "H-member", "duplicate-i", "duplicate-H"],
+    ids=[
+        "f-kappa-bool", "space-kappa-bool", "f-kappa-70", "f-kappa-0", "space-kappa-70",
+        "i-member", "i-key", "H-member", "duplicate-i", "duplicate-H",
+    ],
 )
 def test_bad_space_or_pair_function_file_is_an_input_error(command, doc, named, tmp_path, capsys):
     path = write(tmp_path, "input.json", doc)
@@ -394,6 +402,25 @@ def test_check_space_reports_a_space_that_is_not_scattered(tmp_path, capsys):
     doc = json.loads(captured.out)
     assert doc["max_invariant_violations"] == [0]
     assert doc["cb_rank_histogram"] == {}
+
+
+@pytest.mark.parametrize(
+    "H, i, unsettled",
+    [
+        ([[0, [0]], [1, [0]]], [[0, 1, []]], [1]),
+        ([[0, []], [1, [0, 1]]], [[0, 1, []]], [0]),
+        ([[0, [0]], [1, [0]]], [], [1]),
+    ],
+    ids=["equal-maxima", "empty-H-value", "equal-maxima-without-i"],
+)
+def test_check_space_reports_a_max_invariant_violation(H, i, unsettled, tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"kappa": 2, "H": H, "i": i})
+    code = main(["check-space", "--space", space])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    doc = json.loads(captured.out)
+    assert doc["max_invariant_violations"] == unsettled
+    assert doc["star_containment"] is True
 
 
 CLI_TREE = ast.parse(Path(cli.__file__).read_text())

@@ -23,6 +23,12 @@ class TestPairFunction:
     def test_kappa_one_has_no_pairs(self):
         assert random_pair_function(1, 0.7, 5).values == {}
 
+    @pytest.mark.parametrize("kappa", [0, 65])
+    def test_one_kappa_rule(self, kappa):
+        for make in (lambda: PairFunction.build(kappa), lambda: random_pair_function(kappa, 0.5, 0)):
+            with pytest.raises(BadArgument, match=f"^kappa must be between 1 and 64, got {kappa}$"):
+                make()
+
     def test_zero_density_empty(self):
         f = random_pair_function(6, 0.0, 3)
         assert all(v == frozenset() for v in f.values.values())
