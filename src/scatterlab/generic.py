@@ -99,7 +99,7 @@ def sample_filter(
             chain.append(extend_with_point(cur, goal.alpha))
             log.append(GoalRecord(goal, "extended", len(chain) - 1, goal.alpha))
         elif isinstance(goal, NbhdGoal):
-            if any(z < 0 or z >= kappa for z in goal.Z) or not 0 <= goal.beta < kappa:
+            if any(z < 0 or z >= kappa for z in (*goal.b, *goal.Z)) or not 0 <= goal.beta < kappa:
                 raise BadArgument(f"goal {goal} references ordinals outside carrier {kappa}")
             if goal.beta not in dom:
                 raise GoalUnsatisfiable(f"beta={goal.beta} not yet in the domain")
@@ -259,20 +259,16 @@ def is_free_sequence(space: SpaceModel, seq: Sequence[int]) -> bool:
 
 def cantor_bendixson(space: SpaceModel) -> dict[int, int]:
     """Rank of each point in the iterated isolated-point hierarchy; the points
-    of a perfect kernel, where the derivative stabilizes, get no rank."""
-    remaining = set(space.carrier)
-    nbhds = {x: minimal_nbhd(space, x) for x in space.carrier}
-    ranks: dict[int, int] = {}
-    stage = 0
-    while remaining:
-        isolated = [x for x in remaining if nbhds[x] & remaining == {x}]
-        if not isolated:
-            break
-        for x in isolated:
-            ranks[x] = stage
-        remaining -= set(isolated)
-        stage += 1
-    return ranks
+    of a perfect kernel, where the derivative stabilizes, get no rank.
+
+    On a finite carrier the hierarchy stops after stage 0.  ``y`` lies in
+    ``minimal_nbhd(space, x)`` exactly when ``x`` and ``y`` lie in the same
+    sets ``H``, so the minimal neighbourhoods are the classes of that
+    equivalence and partition the carrier.  Stage 0 removes the singleton
+    classes.  Every point left lies in a class of two or more points, all of
+    which remain, so none is isolated and the derivative is stable.
+    """
+    return {x: 0 for x in space.carrier if minimal_nbhd(space, x) == {x}}
 
 
 def cb_levels(ranks: dict[int, int]) -> dict[int, list[int]]:
@@ -353,8 +349,12 @@ def fu_simulate(
     fresh point of ``A`` inside the current basic neighbourhood is acquired.
     A block whose neighbourhood retains no point of ``A`` at all raises; one
     whose usable points were already acquired is recorded without
-    acquisition.
+    acquisition.  A space that :func:`max_invariant_violations` flags is not
+    right-separated and raises :class:`BadArgument`.
     """
+    unsettled = max_invariant_violations(space)
+    if unsettled:
+        raise BadArgument(f"space breaks max H(a) = a at points {unsettled}")
     pool = frozenset(A)
     _check_ambient(space, alpha, FUCondition.make((), ()))
     if any(x not in space.carrier for x in pool):

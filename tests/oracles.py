@@ -203,3 +203,21 @@ def oracle_minimal_nbhd(space, x) -> frozenset:
 def oracle_closure(space, Y) -> frozenset:
     ys = frozenset(Y)
     return frozenset(x for x in range(space.kappa) if oracle_minimal_nbhd(space, x) & ys)
+
+
+def oracle_cantor_bendixson(space) -> dict:
+    """Strip isolated points stage by stage until none is left or the rest is
+    perfect; each point's rank is the stage that strips it."""
+    remaining = set(range(space.kappa))
+    nbhds = {x: oracle_minimal_nbhd(space, x) for x in remaining}
+    ranks = {}
+    stage = 0
+    while remaining:
+        isolated = [x for x in remaining if nbhds[x] & remaining == {x}]
+        if not isolated:
+            break
+        for x in isolated:
+            ranks[x] = stage
+        remaining -= set(isolated)
+        stage += 1
+    return ranks

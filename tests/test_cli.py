@@ -382,8 +382,18 @@ def test_twins_kappa_minimum_applies_only_without_f(tmp_path, capsys):
     [
         ([{"point": 9}], [], "point goal 9 outside carrier 4"),
         ([], ["--kappa", "8"], "kappa=8 not within the pair function's carrier 4"),
+        (
+            [{"point": 3}, {"point": 1}, {"nbhd": {"beta": 3, "b": [99], "Z": [0]}}],
+            [],
+            "goal NbhdGoal(beta=3, b=frozenset({99}), Z=frozenset({0})) references ordinals outside carrier 4",
+        ),
+        (
+            [{"point": 3}, {"point": 1}, {"nbhd": {"beta": 3, "b": [-1], "Z": [0]}}],
+            [],
+            "goal NbhdGoal(beta=3, b=frozenset({-1}), Z=frozenset({0})) references ordinals outside carrier 4",
+        ),
     ],
-    ids=["point-outside-carrier", "kappa-above-carrier"],
+    ids=["point-outside-carrier", "kappa-above-carrier", "b-above-carrier", "b-below-zero"],
 )
 def test_sample_space_range_fault_is_an_input_error(schedule, flags, named, tmp_path, capsys):
     f = write(tmp_path, "f.json", {"kappa": 4, "f": []})
@@ -421,6 +431,14 @@ def test_check_space_reports_a_max_invariant_violation(H, i, unsettled, tmp_path
     doc = json.loads(captured.out)
     assert doc["max_invariant_violations"] == unsettled
     assert doc["star_containment"] is True
+
+
+def test_fu_sim_refuses_a_space_that_breaks_the_max_invariant(tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"kappa": 3, "H": [[0, []], [1, [0]], [2, [1]]], "i": []})
+    code = main(["fu-sim", "--space", space, "--A", "0,1", "--alpha", "2", "--blocks", "|0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", "error: space breaks max H(a) = a at points [0, 1, 2]\n")
 
 
 CLI_TREE = ast.parse(Path(cli.__file__).read_text())

@@ -30,7 +30,7 @@ from scatterlab.poset import Condition, leq
 from scatterlab.sampling import random_space
 from scatterlab.universe import random_pair_function
 
-from oracles import oracle_closure, oracle_minimal_nbhd
+from oracles import oracle_cantor_bendixson, oracle_closure, oracle_minimal_nbhd
 
 
 def toy_space(h_map, kappa=None):
@@ -313,6 +313,7 @@ class TestCantorBendixson:
             H = {a: {b for b in range(kappa) if rng.random() < 0.4} | {a} for a in range(kappa)}
             space = toy_space(H, kappa)
             ranks = cantor_bendixson(space)
+            assert ranks == oracle_cantor_bendixson(space)
             if not max_invariant_violations(space):
                 assert ranks == dict.fromkeys(space.carrier, 0)
             if set(ranks) != set(space.carrier):

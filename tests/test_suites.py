@@ -1,5 +1,8 @@
 import hashlib
+import importlib
+import pkgutil
 import random
+import re
 from itertools import takewhile
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from scatterlab.suites import SUITES, _workers, run_suite
 from scatterlab.universe import MAX_KAPPA, random_pair_function
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULE_TABLE_HEADER = "| module                 | contents |"
 SUITE_TABLE_HEADER = "| suite | reads `--f` | `--kappa` without `--f` | default `--trials` | default `--trials` with `--f` |"
 
 
@@ -142,6 +146,22 @@ class TestSuiteTable:
             for name, suite in SUITES.items()
         ]
         assert rows == expected
+
+
+def test_readme_module_table_names_module_attributes():
+    """The README's module table is the package's API map: one row per module,
+    and each backticked identifier in a row is an attribute of that module."""
+    lines = README.read_text().splitlines()
+    start = lines.index(MODULE_TABLE_HEADER) + 2  # past the header and its rule
+    rows = [line.split("|")[1:3] for line in takewhile(lambda line: line.startswith("|"), lines[start:])]
+    modules = {cell.strip().strip("`"): contents for cell, contents in rows}
+    package = {f"scatterlab.{info.name}" for info in pkgutil.iter_modules(scatterlab.__path__)}
+    assert set(modules) == package
+    for module, contents in modules.items():
+        names = [name for name in re.findall(r"`([^`]+)`", contents) if name.isidentifier()]
+        assert names, module
+        missing = [name for name in names if not hasattr(importlib.import_module(module), name)]
+        assert missing == [], module
 
 
 class TestWorkers:
