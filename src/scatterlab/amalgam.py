@@ -105,7 +105,7 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     neighbourhood sets; a point private to one side keeps its own set plus
     those foreign points whose anchor it already contains.  The covering
     index keeps both old indices and falls back to the ambient pair function
-    on mixed pairs.
+    on mixed pairs, cut to the domain.
     """
     bad = good_twin_violations(f, p, p_prime)
     if bad:
@@ -129,7 +129,8 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
         elif x in a2 and y in a2:
             j[(x, y)] = p_prime.i_value(x, y)
         else:
-            j[(x, y)] = f.value(x, y) & b
+            v = f.value(x, y)
+            j[(x, y)] = v if v <= b else v & b  # f's own object when it fits: no copy
     return Condition(b, g, j)
 
 
@@ -259,5 +260,6 @@ def insertion_construction(f: PairFunction, s: Condition, layout: InsertionLayou
         if (x in qe and y in qe) or (x in layout.S and y in layout.S):
             i[(x, y)] = s.i_value(x, y)
         else:
-            i[(x, y)] = f.value(x, y) & new_dom
+            v = f.value(x, y)
+            i[(x, y)] = v if v <= new_dom else v & new_dom  # f's own object when it fits: no copy
     return Condition(new_dom, h, i)

@@ -155,7 +155,7 @@ def dump_schedule(goals: list[Goal]) -> str:
         if isinstance(goal, PointGoal):
             out.append({"point": goal.alpha})
         elif isinstance(goal, NbhdGoal):
-            out.append({"nbhd": {"beta": goal.beta, "b": sorted(goal.b), "Z": sorted(goal.Z)}})
+            out.append({"nbhd": goal.as_entry()})
         else:
             raise ParseError(f"unknown goal {goal!r}")
     return to_text(out)

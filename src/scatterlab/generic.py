@@ -18,6 +18,7 @@ that avoids ``C``.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -42,6 +43,9 @@ class NbhdGoal:
     beta: int
     b: frozenset[int]
     Z: frozenset[int]
+
+    def as_entry(self) -> dict:  # the goal's body as a schedule file writes it
+        return {"beta": self.beta, "b": sorted(self.b), "Z": sorted(self.Z)}
 
 
 Goal = Union[PointGoal, NbhdGoal]
@@ -100,7 +104,8 @@ def sample_filter(
             log.append(GoalRecord(goal, "extended", len(chain) - 1, goal.alpha))
         elif isinstance(goal, NbhdGoal):
             if any(z < 0 or z >= kappa for z in (*goal.b, *goal.Z)) or not 0 <= goal.beta < kappa:
-                raise BadArgument(f"goal {goal} references ordinals outside carrier {kappa}")
+                entry = json.dumps(goal.as_entry())
+                raise BadArgument(f"nbhd goal {entry} references ordinals outside carrier {kappa}")
             if goal.beta not in dom:
                 raise GoalUnsatisfiable(f"beta={goal.beta} not yet in the domain")
             if not goal.b <= {x for x in dom if x < goal.beta}:

@@ -270,26 +270,18 @@ def leq_restricted(r1: RestrictedCondition, r2: RestrictedCondition) -> bool:
     return leq(r1, r2)
 
 
-PRECEDES_MAX_DOMAIN = 16  # precedes scans all 2^n avoidance subsets
-
-
 def precedes(p: Condition, p_prime: Condition) -> bool:
     """Neighbourhood refinement on a fixed domain: every basic neighbourhood
-    of ``p`` is contained in the matching one of ``p_prime``.
-
-    Exhausts all avoidance subsets, so the domain size is guarded.
-    """
+    of ``p`` is contained in the matching one of ``p_prime``.  Tested
+    pointwise, since the worst avoidance set for ``x in h(alpha)`` is
+    ``{beta < alpha : x not in h(beta)}``: ``h(alpha) <= h'(alpha)``, and
+    ``h(alpha) & h'(beta) <= h(beta)`` for every domain ``beta < alpha``."""
     if p.a != p_prime.a:
         raise BadArgument(f"domains differ: {list(p.a)} vs {list(p_prime.a)}")
-    if len(p.a) > PRECEDES_MAX_DOMAIN:
-        raise BadArgument(f"refusing 2^{len(p.a)} subset scan (at most {PRECEDES_MAX_DOMAIN} points)")
-    for alpha in p.a:
-        below = [x for x in p.a if x < alpha]
-        for r in range(len(below) + 1):
-            for b in combinations(below, r):
-                if not basic_nbhd(p, alpha, b) <= basic_nbhd(p_prime, alpha, b):
-                    return False
-    return True
+    return all(
+        p.h[alpha] <= p_prime.h[alpha] and all(p.h[alpha] & p_prime.h[beta] <= p.h[beta] for beta in p.a[:k])
+        for k, alpha in enumerate(p.a)
+    )
 
 
 def extend_with_point(p: Condition, alpha: int) -> Condition:

@@ -10,6 +10,7 @@ group-intersection search ``search_common_lower_bound``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -110,19 +111,37 @@ def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) ->
     * (a) ``alpha < beta`` and ``alpha < gamma`` force ``alpha in f{beta,gamma}``,
     * (b) ``alpha < beta`` forces ``f{alpha,gamma} <= f{beta,gamma}``,
     * (c) ``alpha < gamma`` forces ``f{alpha,beta} <= f{gamma,beta}``.
+
+    Each ``(beta, gamma)`` pair is tested once for all ``alpha``: inside
+    ``f{beta,gamma}`` must lie (a) the shared points below ``min(beta, gamma)``,
+    (b) the prefix union of ``f{alpha,gamma}`` over shared ``alpha < beta`` and
+    (c) that of ``f{alpha,beta}`` over shared ``alpha < gamma``.
     """
     xs, ys = frozenset(x), frozenset(y)
     f.check_members(xs, ys)
+    shared = sorted(xs & ys)
+    only_x, only_y = xs - ys, ys - xs
+    if not (shared and only_x and only_y):
+        return []
+    fv = f.values
+    below = {u: bisect_left(shared, u) for u in only_x | only_y}  # shared points under u
+    prefix = {}  # u -> [union of f{alpha,u} over the first k shared alpha, for k = 0, 1, ...]
+    for u in below:
+        unions = prefix[u] = [frozenset()]
+        for alpha in shared:
+            unions.append(unions[-1] | fv[(alpha, u) if alpha < u else (u, alpha)])
     out: list[str] = []
-    for alpha in xs & ys:
-        for beta in xs - ys:
-            for gamma in ys - xs:
-                if alpha < beta and alpha < gamma and alpha not in f.value(beta, gamma):
-                    out.append(f"(a) at alpha={alpha}, beta={beta}, gamma={gamma}")
-                if alpha < beta and not f.value(alpha, gamma) <= f.value(beta, gamma):
-                    out.append(f"(b) at alpha={alpha}, beta={beta}, gamma={gamma}")
-                if alpha < gamma and not f.value(alpha, beta) <= f.value(gamma, beta):
-                    out.append(f"(c) at alpha={alpha}, beta={beta}, gamma={gamma}")
+    for beta in sorted(only_x):
+        kb, from_beta = below[beta], prefix[beta]
+        for gamma in sorted(only_y):
+            kg = below[gamma]
+            v = fv[(beta, gamma) if beta < gamma else (gamma, beta)]
+            if not v.issuperset(shared[: min(kb, kg)]):
+                out.append(f"(a) at beta={beta}, gamma={gamma}")
+            if not prefix[gamma][kb] <= v:
+                out.append(f"(b) at beta={beta}, gamma={gamma}")
+            if not from_beta[kg] <= v:
+                out.append(f"(c) at beta={beta}, gamma={gamma}")
     return out
 
 

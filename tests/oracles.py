@@ -38,20 +38,47 @@ def oracle_pair_function(kappa: int, density: float, seed: int) -> dict:
     return values
 
 
-def oracle_good_pair(f, x, y) -> bool:
+def oracle_good_pair_clauses(f, x, y) -> set[str]:
+    """The letters of the good-pair clauses that fail, tested triple by
+    triple: every shared ``alpha``, ``beta`` of ``x`` only and ``gamma`` of
+    ``y`` only."""
     xs, ys = frozenset(x), frozenset(y)
+    failed = set()
     for alpha in xs & ys:
         for beta in xs - ys:
             for gamma in ys - xs:
                 if alpha < beta and alpha < gamma:
                     if alpha not in f.value(beta, gamma):
-                        return False
+                        failed.add("a")
                 if alpha < beta:
                     if not f.value(alpha, gamma) <= f.value(beta, gamma):
-                        return False
+                        failed.add("b")
                 if alpha < gamma:
                     if not f.value(alpha, beta) <= f.value(gamma, beta):
-                        return False
+                        failed.add("c")
+    return failed
+
+
+def oracle_good_pair(f, x, y) -> bool:
+    return not oracle_good_pair_clauses(f, x, y)
+
+
+def oracle_precedes(p, q) -> bool:
+    """Refinement by exhaustion over the shared domain: for every point
+    ``alpha`` and every avoidance set ``b`` of points below it, ``h(alpha)``
+    less the union of ``h`` over ``b`` in ``p`` lies inside the same set
+    built from ``q``."""
+    dom = sorted(p.a)
+    for alpha in dom:
+        below = [x for x in dom if x < alpha]
+        for r in range(len(below) + 1):
+            for b in combinations(below, r):
+                in_p, in_q = set(p.h[alpha]), set(q.h[alpha])
+                for beta in b:
+                    in_p -= p.h[beta]
+                    in_q -= q.h[beta]
+                if not in_p <= in_q:
+                    return False
     return True
 
 

@@ -29,7 +29,14 @@ from scatterlab.poset import (
 from scatterlab.sampling import good_twin_pair, insertion_instance, iter_conditions
 from scatterlab.universe import PairFunction, random_pair_function
 
-from oracles import oracle_amalgamate, oracle_anchor, oracle_good_twins, oracle_twins, oracle_validate
+from oracles import (
+    oracle_amalgamate,
+    oracle_anchor,
+    oracle_good_twins,
+    oracle_precedes,
+    oracle_twins,
+    oracle_validate,
+)
 
 WORKED_F = PairFunction.build(4, {(1, 2): {0}})
 P = Condition([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
@@ -260,6 +267,49 @@ class TestBoundedExhaustive:
             assert g_well_defined(p, q), (p.key(), q.key())
 
 
+def assert_mixed_values_shared(f, r, kept):
+    """Each pair of ``r`` that ``kept`` does not claim holds ``f``'s value cut
+    to the domain, and holds ``f``'s own object whenever the value already
+    lies inside the domain."""
+    dom = frozenset(r.a)
+    shared = 0
+    for k, v in r.i.items():
+        if kept(*k):
+            continue
+        assert v == f.values[k] & dom, k
+        if f.values[k] <= dom:
+            assert v is f.values[k], k
+            shared += 1
+    return shared
+
+
+class TestSharedPairValues:
+    def test_amalgamate(self, small_good_twins):
+        shared = 0
+        for p, q in small_good_twins:
+            r = amalgamate(SMALL_F, p, q)
+            shared += assert_mixed_values_shared(SMALL_F, r, lambda x, y: {x, y} <= set(p.a) or {x, y} <= set(q.a))
+        rng = random.Random(21)
+        for t in range(60):
+            f = random_pair_function(rng.randint(24, 40), rng.choice((0.1, 0.5, 0.9)), t)
+            f2, p, q = good_twin_pair(f, rng, rng.randint(4, 12))
+            r = amalgamate(f2, p, q)
+            shared += assert_mixed_values_shared(f2, r, lambda x, y: {x, y} <= set(p.a) or {x, y} <= set(q.a))
+        assert shared > 0
+
+    def test_insertion(self):
+        rng = random.Random(22)
+        shared = 0
+        for _ in range(30):
+            f, s, layout = insertion_instance(
+                rng, kappa=24, k=rng.choice((1, 2)), q_size=rng.randint(1, 3), extra_points=rng.randint(0, 3)
+            )
+            r = insertion_construction(f, s, layout)
+            qe = layout.Q | layout.E
+            shared += assert_mixed_values_shared(f, r, lambda x, y: {x, y} <= qe or {x, y} <= layout.S)
+        assert shared > 0
+
+
 def build_layout_violation_cases():
     rng = random.Random(3)
     f, s, layout = insertion_instance(rng, kappa=20, k=1, q_size=2, extra_points=1)
@@ -283,7 +333,8 @@ class TestInsertion:
             c_block = layout.S - h_union(s.h, layout.Q | layout.E)
             assert c_block <= r.h[layout.gammas[0]]
             se = restrict(s, layout.S | layout.E).as_condition()
-            assert precedes(se, r)
+            assert precedes(se, r) and oracle_precedes(se, r)
+            assert precedes(r, se) == oracle_precedes(r, se)
 
     def test_covered_s_gives_trace(self):
         # with no extra points, S = Q is swallowed by the base h-values and

@@ -385,12 +385,12 @@ def test_twins_kappa_minimum_applies_only_without_f(tmp_path, capsys):
         (
             [{"point": 3}, {"point": 1}, {"nbhd": {"beta": 3, "b": [99], "Z": [0]}}],
             [],
-            "goal NbhdGoal(beta=3, b=frozenset({99}), Z=frozenset({0})) references ordinals outside carrier 4",
+            'nbhd goal {"beta": 3, "b": [99], "Z": [0]} references ordinals outside carrier 4',
         ),
         (
             [{"point": 3}, {"point": 1}, {"nbhd": {"beta": 3, "b": [-1], "Z": [0]}}],
             [],
-            "goal NbhdGoal(beta=3, b=frozenset({-1}), Z=frozenset({0})) references ordinals outside carrier 4",
+            'nbhd goal {"beta": 3, "b": [-1], "Z": [0]} references ordinals outside carrier 4',
         ),
     ],
     ids=["point-outside-carrier", "kappa-above-carrier", "b-above-carrier", "b-below-zero"],

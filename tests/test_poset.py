@@ -23,7 +23,7 @@ from scatterlab.sampling import iter_conditions, random_condition
 from scatterlab.suites import _POSET_CAP_PER_DOMAIN, _POSET_DOMAIN, derive_seed
 from scatterlab.universe import PairFunction, random_pair_function
 
-from oracles import oracle_leq, oracle_star, oracle_validate
+from oracles import oracle_leq, oracle_precedes, oracle_star, oracle_validate
 
 
 def nonempty_subsets(pool):
@@ -247,12 +247,36 @@ class TestPrecedes:
         with pytest.raises(BadArgument, match=r"domains differ: \[0\] vs \[1\]"):
             precedes(Condition.single(0), Condition.single(1))
 
-    def test_guard(self):
-        big = Condition.empty()
+    def test_seventeen_points(self):
+        # 2^16 avoidance sets below the top point, too many for a subset scan.
+        # Against the pointwise definition: h(alpha) <= h'(alpha), and every x
+        # of h(alpha) in h'(beta) for a domain beta < alpha is in h(beta).
+        p = Condition.empty()
         for a in range(17):
-            big = extend_with_point(big, a)
-        with pytest.raises(BadArgument, match=r"refusing 2\^17 subset scan"):
-            precedes(big, big)
+            p = extend_with_point(p, a)
+        assert precedes(p, p)
+
+        def pointwise(c, d):
+            return all(
+                c.h[alpha] <= d.h[alpha]
+                and all(x in c.h[beta] for beta in c.a if beta < alpha for x in c.h[alpha] & d.h[beta])
+                for alpha in c.a
+            )
+
+        shown = []
+        for beta, grown in [(16, {0, 16}), (2, {1, 2}), (9, {3, 5, 9})]:
+            q = Condition(p.a, {**p.h, beta: grown}, p.i)
+            for c, d in [(p, q), (q, p)]:
+                shown.append(precedes(c, d))
+                assert shown[-1] == pointwise(c, d), (beta, c.h, d.h)
+        assert shown == [True, False] * 3
+        # A perturbation only the second clause catches: 1 joins h(16) on
+        # both sides but h'(2) alone, so avoiding {2} keeps 1 near 16 in p
+        # and not in q.
+        r = Condition(p.a, {**p.h, 16: frozenset({1, 16})}, p.i)
+        s = Condition(p.a, {**r.h, 2: frozenset({1, 2})}, p.i)
+        assert not precedes(r, s) and not pointwise(r, s)
+        assert basic_nbhd(r, 16, {2}) == {1, 16} and basic_nbhd(s, 16, {2}) == {16}
 
     def test_strictly_larger_nbhd_fails(self):
         p = cond([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
@@ -276,6 +300,26 @@ class TestPrecedes:
             q, r = fatten(p), fatten(p)
             if precedes(p, q) and precedes(q, r):
                 assert precedes(p, r)
+
+
+# Bounded-exhaustive scope for precedes: every ordered pair of valid
+# conditions on each domain of 1 to 3 points over 6 ordinals, at a dense and
+# a half-dense pair function.  A test of h(alpha) <= h'(alpha) alone differs
+# from the subset scan on 296 of these pairs.
+@pytest.mark.parametrize("density, pairs, positive", [(1.0, 3_986, 1_571), (0.5, 1_906, 778)])
+def test_precedes_matches_the_subset_scan(density, pairs, positive):
+    f = random_pair_function(6, density, 0)
+    seen = held = 0
+    for size in (1, 2, 3):
+        for dom in combinations(range(6), size):
+            conds = list(iter_conditions(f, dom))
+            for p in conds:
+                for q in conds:
+                    expected = oracle_precedes(p, q)
+                    assert precedes(p, q) == expected, (p.key(), q.key())
+                    seen += 1
+                    held += expected
+    assert (seen, held) == (pairs, positive)
 
 
 class TestExtendWithPoint:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +13,16 @@ from scatterlab.universe import (
     search_common_lower_bound,
 )
 
-from oracles import oracle_good_pair, oracle_pair_closure, oracle_pair_function
+from oracles import oracle_good_pair, oracle_good_pair_clauses, oracle_pair_closure, oracle_pair_function
 
 
 def small_f(kappa=5, density=0.5, seed=0):
     return random_pair_function(kappa, density, seed)
+
+
+def failed_clauses(f, x, y) -> set[str]:
+    """The clause letters named by ``good_pair_violations``'s messages."""
+    return {v[1] for v in good_pair_violations(f, x, y)}
 
 
 class TestPairFunction:
@@ -116,21 +122,36 @@ class TestGoodPair:
 
     def test_clause_a_counterexample(self):
         f = PairFunction.build(4, {(2, 3): {0}})
-        assert any(v.startswith("(a)") for v in good_pair_violations(f, {1, 2}, {1, 3}))
+        assert good_pair_violations(f, {1, 2}, {1, 3}) == ["(a) at beta=2, gamma=3"]
 
     def test_out_of_universe(self):
         with pytest.raises(BadArgument, match="ordinal 9 outside carrier of size 4"):
             good_pair_violations(small_f(kappa=4), {1, 9}, {2})
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**30), st.floats(0, 1), st.data())
-    def test_symmetry_and_oracle(self, seed, density, data):
-        f = random_pair_function(6, density, seed)
-        x = frozenset(data.draw(st.sets(st.integers(0, 5), max_size=6)))
-        y = frozenset(data.draw(st.sets(st.integers(0, 5), max_size=6)))
-        good = not good_pair_violations(f, x, y)
-        assert good == (not good_pair_violations(f, y, x))
-        assert good == oracle_good_pair(f, x, y)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**30), st.floats(0, 1), st.data())
+    def test_symmetry_and_oracle(self, kappa, seed, density, data):
+        f = random_pair_function(kappa, density, seed)
+        x = frozenset(data.draw(st.sets(st.integers(0, kappa - 1))))
+        y = frozenset(data.draw(st.sets(st.integers(0, kappa - 1))))
+        clauses = failed_clauses(f, x, y)
+        assert clauses == oracle_good_pair_clauses(f, x, y)
+        assert (not clauses) == (not good_pair_violations(f, y, x)) == oracle_good_pair(f, x, y)
+
+    @pytest.mark.parametrize("density", [1.0, 0.5, 0.2])
+    def test_failed_clauses_match_on_every_small_twin_domain_pair(self, density):
+        # The domains of the bounded-exhaustive twin pairs: every ordered pair
+        # of equal-sized subsets of 1 to 3 points of a 6-ordinal carrier.
+        f = random_pair_function(6, density, 0)
+        doms = [frozenset(c) for size in (1, 2, 3) for c in combinations(range(6), size)]
+        bad = 0
+        for x in doms:
+            for y in doms:
+                if len(x) == len(y):
+                    clauses = failed_clauses(f, x, y)
+                    assert clauses == oracle_good_pair_clauses(f, x, y), (sorted(x), sorted(y))
+                    bad += bool(clauses)
+        assert (bad > 0) == (density < 1.0)
 
 
 class TestPairClosure:
