@@ -29,13 +29,6 @@ from .poset import Condition, h_union, validate_condition
 from .universe import PairFunction, good_pair_violations
 
 
-@dataclass(frozen=True)
-class TwinWitness:
-    """The order isomorphism as a pair list."""
-
-    e: tuple[tuple[int, int], ...]
-
-
 def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Condition) -> list[str]:
     """Names of the failed good-twin clauses; empty means good twins.
 
@@ -68,16 +61,13 @@ def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Conditio
     return out
 
 
-def are_twins(p: Condition, p_prime: Condition) -> Optional[TwinWitness]:
-    """Witness that the natural domain bijection is an isomorphism fixing the
-    overlap (clause 1 of :func:`good_twin_violations`); ``None`` otherwise."""
+def are_twins(p: Condition, p_prime: Condition) -> Optional[tuple[tuple[int, int], ...]]:
+    """The natural domain bijection as ``((x, x'), ...)`` pairs when it is an
+    isomorphism fixing the overlap (clause 1 of :func:`good_twin_violations`);
+    ``None`` otherwise.  Empty twins give ``()``."""
     if any(c.startswith("1") for c in good_twin_violations(None, p, p_prime)):
         return None
-    return TwinWitness(tuple(zip(p.a, p_prime.a)))
-
-
-def are_good_twins(f: PairFunction, p: Condition, p_prime: Condition) -> bool:
-    return not good_twin_violations(f, p, p_prime)
+    return tuple(zip(p.a, p_prime.a))
 
 
 def delta_xi(p: Condition, p_prime: Condition, xi: int) -> Optional[int]:

@@ -111,7 +111,7 @@ def cmd_twins(args) -> Outcome:
         "command": "twins",
         "inputs": inputs,
         "twins": witness is not None,
-        "isomorphism": [list(e) for e in witness.e] if witness else None,
+        "isomorphism": [list(e) for e in witness] if witness is not None else None,
         "good_twins": not clauses,
         "failed_clauses": clauses,
     }, not clauses

@@ -178,23 +178,18 @@ def check_star_containment(space: SpaceModel) -> tuple[bool, list[tuple[int, int
     return (not bad, bad)
 
 
-def loc_comp_witnesses(space: SpaceModel) -> list[tuple[int, int]]:
-    """Pairs violating the local-compactness hypothesis."""
-    bad: list[tuple[int, int]] = []
-    for (beta, alpha), idx in sorted(space.i.items()):
-        if beta in space.H[alpha]:
-            residue = space.H[beta] - space.H[alpha]
-        else:
-            residue = space.H[beta] & space.H[alpha]
-        if not residue <= h_union(space.H, idx):
-            bad.append((beta, alpha))
-    return bad
+def _residue(space: SpaceModel, lo: int, hi: int) -> frozenset[int]:
+    """What the pair ``lo < hi``'s covering index must cover: the surplus
+    ``H(lo) - H(hi)`` when ``lo`` lies in ``H(hi)``, else ``H(lo) & H(hi)``."""
+    return space.H[lo] - space.H[hi] if lo in space.H[hi] else space.H[lo] & space.H[hi]
 
 
 def check_loc_comp_hypothesis(space: SpaceModel) -> bool:
     """For ``beta < alpha``: a member's surplus, or a non-member's overlap,
     is covered by the union of ``H`` over the pair's covering index."""
-    return not loc_comp_witnesses(space)
+    return all(
+        _residue(space, beta, alpha) <= h_union(space.H, idx) for (beta, alpha), idx in space.i.items()
+    )
 
 
 def subbase_witnesses(space: SpaceModel, alpha: int) -> list[tuple[int, int]]:
@@ -202,13 +197,8 @@ def subbase_witnesses(space: SpaceModel, alpha: int) -> list[tuple[int, int]]:
     ``alpha``: for every larger ``gamma``, the part of ``H(alpha)`` outside
     (resp. inside) ``H(gamma)`` must be covered via the pair's index."""
     bad: list[tuple[int, int]] = []
-    for gamma in space.carrier:
-        if gamma <= alpha:
-            continue
-        if alpha in space.H[gamma]:
-            residue = space.H[alpha] - space.H[gamma]
-        else:
-            residue = space.H[alpha] & space.H[gamma]
+    for gamma in range(alpha + 1, space.kappa):
+        residue = _residue(space, alpha, gamma)
         if not residue:
             continue
         idx = space.i.get(pair(alpha, gamma))
@@ -320,9 +310,9 @@ def fu_meet(q1: FUCondition, q2: FUCondition, space: SpaceModel, alpha: int) -> 
     """Componentwise union when compatible (then it is the greatest lower
     bound); ``None`` when no common lower bound exists."""
     _check_ambient(space, alpha, q1, q2)
-    cand = FUCondition(q1.s | q2.s, q1.C | q2.C)
-    if fu_leq(cand, q1, space, alpha) and fu_leq(cand, q2, space, alpha):
-        return cand
+    s = q1.s | q2.s
+    if all(s - q.s <= space.nbhd(alpha, q.C) for q in (q1, q2)):
+        return FUCondition(s, q1.C | q2.C)
     return None
 
 
@@ -361,7 +351,7 @@ def fu_simulate(
     if unsettled:
         raise BadArgument(f"space breaks max H(a) = a at points {unsettled}")
     pool = frozenset(A)
-    _check_ambient(space, alpha, FUCondition.make((), ()))
+    _check_ambient(space, alpha)
     if any(x not in space.carrier for x in pool):
         raise BadArgument(f"A={sorted(pool)} leaves the carrier")
     rng = random.Random(seed)

@@ -284,16 +284,23 @@ def precedes(p: Condition, p_prime: Condition) -> bool:
     )
 
 
+def _add_point(p: Condition, alpha: int, hosts: Iterable[int]) -> Condition:
+    """``p`` plus the point ``alpha``: ``h(alpha) = {alpha}``, ``alpha`` joins
+    ``h(nu)`` for each ``nu`` in ``hosts``, and every new ``i`` value is empty."""
+    h = dict(p.h)
+    for nu in hosts:
+        h[nu] = h[nu] | {alpha}
+    h[alpha] = frozenset((alpha,))
+    i = dict(p.i)
+    i.update((pair(alpha, xi), frozenset()) for xi in p.a)
+    return Condition(p.a + (alpha,), h, i)
+
+
 def extend_with_point(p: Condition, alpha: int) -> Condition:
     """Add an isolated new point: ``h(alpha) = {alpha}``, empty new ``i``."""
     if alpha in set(p.a):
         raise BadArgument(f"{alpha} already in domain")
-    h = dict(p.h)
-    h[alpha] = frozenset((alpha,))
-    i = dict(p.i)
-    for xi in p.a:
-        i[pair(alpha, xi)] = frozenset()
-    return Condition(p.a + (alpha,), h, i)
+    return _add_point(p, alpha, ())
 
 
 def extend_into_neighbourhood(p: Condition, beta: int, b: Iterable[int], alpha: int) -> Condition:
@@ -311,11 +318,4 @@ def extend_into_neighbourhood(p: Condition, beta: int, b: Iterable[int], alpha: 
         raise BadArgument(f"b={sorted(bs)} is not a domain subset below {beta}")
     if alpha in dom or not 0 <= alpha < beta:
         raise BadArgument(f"alpha={alpha} must be a fresh ordinal below {beta}")
-    h: dict[int, frozenset[int]] = {}
-    for nu in p.a:
-        h[nu] = p.h[nu] | {alpha} if beta in p.h[nu] else p.h[nu]
-    h[alpha] = frozenset((alpha,))
-    i = dict(p.i)
-    for nu in p.a:
-        i[pair(alpha, nu)] = frozenset()
-    return Condition(p.a + (alpha,), h, i)
+    return _add_point(p, alpha, [nu for nu in p.a if beta in p.h[nu]])

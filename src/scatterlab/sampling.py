@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .amalgam import InsertionLayout
 from .errors import BadArgument
@@ -25,7 +25,7 @@ from .generic import (
     sample_filter,
 )
 from .poset import Condition, extend_into_neighbourhood, extend_with_point, h_union, star
-from .universe import PairFunction, pair, random_pair_function
+from .universe import PairFunction, good_pair_demands, pair, random_pair_function
 
 
 def _subsets(pool: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -125,10 +125,11 @@ def good_twin_pair(
     """A good-twin pair over a repaired copy of ``f``.
 
     A base condition is sampled, its domain suffix is relabelled to fresh
-    ordinals through the order isomorphism, and ``f`` is then enlarged where
-    the relabelled condition or the good-pair clauses demand it.  Enlarging
-    ``f`` never harms the base condition's validity, and the repairs touch
-    no pair read by a later repair step.
+    ordinals through the order isomorphism.  ``f`` is then enlarged where
+    the relabelled condition's ``i`` leaves it, and after that by the
+    :func:`~scatterlab.universe.good_pair_demands` of the two domains over
+    the enlarged function.  Enlarging ``f`` never harms the base condition's
+    validity, and the demands read no pair that their repair changes.
     """
     reserve = max(2, size)
     low_pool = list(range(max(1, f.kappa - reserve)))
@@ -151,30 +152,16 @@ def good_twin_pair(
     }
     q = Condition([e[x] for x in p.a], h2, i2)
 
-    overrides: dict[tuple[int, int], frozenset[int]] = {}
-
-    def current(x: int, y: int) -> frozenset[int]:
-        return overrides.get(pair(x, y), f.value(x, y))
-
-    def grow(x: int, y: int, need: Iterable[int]) -> None:
-        have = current(x, y)
-        needed = frozenset(need)
-        if not needed <= have:
-            overrides[pair(x, y)] = have | needed
-
-    for x, y in combinations(q.a, 2):
-        grow(x, y, q.i_value(x, y))
-    a, a2 = frozenset(p.a), frozenset(q.a)
-    for alpha in a & a2:
-        for beta in a - a2:
-            for gamma in a2 - a:
-                if alpha < beta and alpha < gamma:
-                    grow(beta, gamma, {alpha})
-                if alpha < beta:
-                    grow(beta, gamma, current(alpha, gamma))
-                if alpha < gamma:
-                    grow(gamma, beta, current(alpha, beta))
-    f2 = f.updated(overrides) if overrides else f
+    fv = f.values
+    grown = {k: fv[k] | v for k, v in q.i.items() if not v <= fv[k]}
+    f1 = f.updated(grown) if grown else f
+    repairs = {}
+    for beta, gamma, *needs in good_pair_demands(f1, p.a, q.a):
+        have = f1.value(beta, gamma)
+        need = have.union(*needs)
+        if len(need) > len(have):
+            repairs[pair(beta, gamma)] = need
+    f2 = f1.updated(repairs) if repairs else f1
     return f2, p, q
 
 

@@ -241,12 +241,13 @@ def _twins_trial(ctx: SuiteContext, trial: int) -> _Tally:
     f2, p, q = sampling.good_twin_pair(f, rng, size)
     tally = _Tally()
     wit = {"a": list(p.a), "a2": list(q.a)}
-    tally.hit("sampler-yields-good-twins", amalgam.are_good_twins(f2, p, q), wit)
-    try:
+    try:  # amalgamate checks the good-twin clauses: the sampler's verdict too
         r = amalgam.amalgamate(f2, p, q)
     except NotGoodTwins as exc:
+        tally.hit("sampler-yields-good-twins", False, wit)
         tally.hit("amalgamation-succeeds", False, {**wit, "clauses": list(exc.clauses)})
         return tally
+    tally.hit("sampler-yields-good-twins", True, wit)
     tally.hit("amalgamation-succeeds", True, wit)
     tally.hit("result-valid", poset.validate_condition(f2, r).ok, wit)
     tally.hit("below-left", poset.leq(r, p), wit)

@@ -3,8 +3,9 @@
 The carrier is ``{0, ..., kappa-1}``.  A :class:`PairFunction` assigns to
 every unordered pair ``{a, b}`` of distinct carrier ordinals a finite set
 ``f{a,b}`` of ordinals strictly below ``min(a, b)``.  On top of it live the
-good-pair predicate, the closure operator ``pair_closure`` and the
-group-intersection search ``search_common_lower_bound``.
+good-pair clauses (what they demand of ``f``, and which of them fail), the
+closure operator ``pair_closure`` and the group-intersection search
+``search_common_lower_bound``.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
     return PairFunction(kappa, values)
 
 
-def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) -> list[str]:
-    """Clause-by-clause check of the good-pair predicate; empty means good.
+def good_pair_demands(
+    f: PairFunction, x: Iterable[int], y: Iterable[int]
+) -> list[tuple[int, int, frozenset[int], frozenset[int], frozenset[int]]]:
+    """What the good-pair clauses ask of ``f`` on each pair of private points.
 
     For ``alpha`` in the overlap, ``beta`` only in ``x`` and ``gamma`` only in
     ``y``:
@@ -112,10 +115,15 @@ def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) ->
     * (b) ``alpha < beta`` forces ``f{alpha,gamma} <= f{beta,gamma}``,
     * (c) ``alpha < gamma`` forces ``f{alpha,beta} <= f{gamma,beta}``.
 
-    Each ``(beta, gamma)`` pair is tested once for all ``alpha``: inside
-    ``f{beta,gamma}`` must lie (a) the shared points below ``min(beta, gamma)``,
-    (b) the prefix union of ``f{alpha,gamma}`` over shared ``alpha < beta`` and
-    (c) that of ``f{alpha,beta}`` over shared ``alpha < gamma``.
+    One entry ``(beta, gamma, a, b, c)`` per pair, ``beta`` then ``gamma``
+    ascending, names the sets each clause asks ``f{beta,gamma}`` to contain:
+    (a) the shared points below ``min(beta, gamma)``, (b) the union of
+    ``f{alpha,gamma}`` over shared ``alpha < beta`` and (c) that of
+    ``f{alpha,beta}`` over shared ``alpha < gamma``, read from prefix unions
+    built once per private point along the sorted overlap.  The domains form
+    a good pair when ``f`` meets every demand.  The demands read only pairs
+    with a shared end, so raising each ``f{beta,gamma}`` to ``a | b | c``
+    leaves them as they are and makes the pair good.
     """
     xs, ys = frozenset(x), frozenset(y)
     f.check_members(xs, ys)
@@ -130,18 +138,25 @@ def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) ->
         unions = prefix[u] = [frozenset()]
         for alpha in shared:
             unions.append(unions[-1] | fv[(alpha, u) if alpha < u else (u, alpha)])
-    out: list[str] = []
+    lower = [frozenset(shared[:k]) for k in range(len(shared) + 1)]  # the first k shared points
+    out = []
     for beta in sorted(only_x):
         kb, from_beta = below[beta], prefix[beta]
         for gamma in sorted(only_y):
             kg = below[gamma]
-            v = fv[(beta, gamma) if beta < gamma else (gamma, beta)]
-            if not v.issuperset(shared[: min(kb, kg)]):
-                out.append(f"(a) at beta={beta}, gamma={gamma}")
-            if not prefix[gamma][kb] <= v:
-                out.append(f"(b) at beta={beta}, gamma={gamma}")
-            if not from_beta[kg] <= v:
-                out.append(f"(c) at beta={beta}, gamma={gamma}")
+            out.append((beta, gamma, lower[min(kb, kg)], prefix[gamma][kb], from_beta[kg]))
+    return out
+
+
+def good_pair_violations(f: PairFunction, x: Iterable[int], y: Iterable[int]) -> list[str]:
+    """Clause-by-clause check of the good-pair predicate; empty means good.
+    Each message names the clause and the pair of private points, in the
+    order of :func:`good_pair_demands`."""
+    out: list[str] = []
+    for beta, gamma, a, b, c in good_pair_demands(f, x, y):
+        v = f.values[(beta, gamma) if beta < gamma else (gamma, beta)]
+        if not (a <= v and b <= v and c <= v):
+            out.extend(f"({k}) at beta={beta}, gamma={gamma}" for k, need in zip("abc", (a, b, c)) if not need <= v)
     return out
 
 

@@ -63,6 +63,35 @@ def oracle_good_pair(f, x, y) -> bool:
     return not oracle_good_pair_clauses(f, x, y)
 
 
+def oracle_twin_repair(f, p, q) -> dict:
+    """The values of ``f`` enlarged as the twin sampler must enlarge them:
+    first each pair of ``q``'s domain gains its ``i``-value, then, triple by
+    triple (every shared ``alpha``, ``beta`` of ``p`` only and ``gamma`` of
+    ``q`` only), ``f{beta,gamma}`` gains what the good-pair clauses ask of
+    it, read from the values enlarged so far."""
+    values = dict(f.values)
+
+    def key(x, y):
+        return (min(x, y), max(x, y))
+
+    def grow(x, y, need):
+        values[key(x, y)] = values[key(x, y)] | frozenset(need)
+
+    for x, y in combinations(sorted(q.a), 2):
+        grow(x, y, q.i[(x, y)])
+    a, a2 = set(p.a), set(q.a)
+    for alpha in a & a2:
+        for beta in a - a2:
+            for gamma in a2 - a:
+                if alpha < beta and alpha < gamma:
+                    grow(beta, gamma, {alpha})
+                if alpha < beta:
+                    grow(beta, gamma, values[key(alpha, gamma)])
+                if alpha < gamma:
+                    grow(gamma, beta, values[key(alpha, beta)])
+    return values
+
+
 def oracle_precedes(p, q) -> bool:
     """Refinement by exhaustion over the shared domain: for every point
     ``alpha`` and every avoidance set ``b`` of points below it, ``h(alpha)``

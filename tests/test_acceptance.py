@@ -33,8 +33,8 @@ from scatterlab.sampling import (
 from scatterlab.suites import run_fu_exhaustive, run_suite
 from scatterlab.amalgam import (
     amalgamate,
-    are_good_twins,
     g_well_defined,
+    good_twin_violations,
     insertion_construction,
     verify_membership_equiv,
 )
@@ -119,7 +119,7 @@ def test_criterion_4_amalgamation():
         kappa = rng.randint(8, 24)
         f = random_pair_function(kappa, rng.choice((0.1, 0.4, 0.8)), suites.derive_seed(SEED, trial, "twin"))
         f2, p, q = good_twin_pair(f, rng, rng.randint(0, 6))
-        if not are_good_twins(f2, p, q):
+        if good_twin_violations(f2, p, q):
             failures.append((trial, "sampler"))
             continue
         r = amalgamate(f2, p, q)

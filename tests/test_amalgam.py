@@ -6,7 +6,6 @@ import pytest
 from scatterlab.amalgam import (
     InsertionLayout,
     amalgamate,
-    are_good_twins,
     are_twins,
     anchors,
     delta_xi,
@@ -34,6 +33,7 @@ from oracles import (
     oracle_anchor,
     oracle_good_twins,
     oracle_precedes,
+    oracle_twin_repair,
     oracle_twins,
     oracle_validate,
 )
@@ -46,7 +46,7 @@ Q = Condition([0, 2], {0: {0}, 2: {0, 2}}, {(0, 2): set()})
 class TestTwins:
     def test_identity_witness(self):
         w = are_twins(P, P)
-        assert w is not None and all(a == b for a, b in w.e)
+        assert w is not None and all(a == b for a, b in w)
 
     def test_size_mismatch(self):
         assert are_twins(P, Condition.single(0)) is None
@@ -54,7 +54,7 @@ class TestTwins:
     def test_worked_pair(self):
         w = are_twins(P, Q)
         assert w is not None
-        assert w.e == ((0, 0), (1, 2))
+        assert w == ((0, 0), (1, 2))
 
     def test_h_mismatch_rejected(self):
         q = Condition([0, 2], {0: {0}, 2: {2}}, {(0, 2): set()})
@@ -69,14 +69,13 @@ class TestTwins:
 
 class TestGoodTwins:
     def test_worked_pair_good(self):
-        assert are_good_twins(WORKED_F, P, Q)
+        assert not good_twin_violations(WORKED_F, P, Q)
 
     def test_identity_good(self):
-        assert are_good_twins(WORKED_F, P, P)
+        assert not good_twin_violations(WORKED_F, P, P)
 
     def test_goodness_clause_fails_without_f_value(self):
         f = PairFunction.build(4)  # f{1,2} empty; clause (a) bites
-        assert not are_good_twins(f, P, Q)
         assert "3 (domains not a good pair)" in good_twin_violations(f, P, Q)
 
     def test_i_agreement_clause(self):
@@ -198,7 +197,7 @@ class TestAmalgamate:
         for t in range(150):
             f = random_pair_function(rng.randint(8, 24), rng.choice((0.1, 0.5, 0.9)), t)
             f2, p, q = good_twin_pair(f, rng, rng.randint(0, 6))
-            assert are_good_twins(f2, p, q)
+            assert not good_twin_violations(f2, p, q)
             r = amalgamate(f2, p, q)
             assert not oracle_validate(f2, r)
             assert leq(r, p) and leq(r, q)
@@ -308,6 +307,29 @@ class TestSharedPairValues:
             qe = layout.Q | layout.E
             shared += assert_mixed_values_shared(f, r, lambda x, y: {x, y} <= qe or {x, y} <= layout.S)
         assert shared > 0
+
+
+class TestTwinRepair:
+    """The sampler repairs ``f`` from the good-pair demands exactly as the
+    triple-by-triple oracle does, and leaves ``f`` itself when nothing needs
+    repairing."""
+
+    @staticmethod
+    def check(kappa, size, seed) -> bool:
+        f = random_pair_function(kappa, (0.1, 0.4, 0.8)[seed % 3], seed)
+        f2, p, q = good_twin_pair(f, random.Random(seed), size)
+        want = oracle_twin_repair(f, p, q)
+        assert f2.values == want, (kappa, size, seed)
+        assert (f2 is f) == (want == f.values), (kappa, size, seed)
+        return f2 is not f
+
+    @pytest.mark.parametrize("kappa", [8, 16, 64])
+    def test_small_sizes(self, kappa):
+        repaired = [self.check(kappa, size, seed) for size in range(9) for seed in range(25)]
+        assert any(repaired) and not all(repaired)
+
+    def test_benchmark_size(self):
+        assert any([self.check(64, 32, seed) for seed in range(20)])
 
 
 def build_layout_violation_cases():

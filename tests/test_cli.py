@@ -133,6 +133,18 @@ class TestTwins:
         assert doc["twins"] and doc["good_twins"]
         assert doc["isomorphism"] == [[0, 0], [1, 2]]
 
+    def test_empty_twins_report_an_empty_isomorphism(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", WORKED_F)
+        empty = write(tmp_path, "e.json", {"a": [], "h": [], "i": []})
+        code, out = run_main(["twins", "--f", f, "--p", empty, "--q", empty], capsys)
+        assert code == 0
+        assert json.loads(out)["isomorphism"] == []
+        single = write(tmp_path, "s.json", {"a": [0], "h": [[0, [0]]], "i": []})
+        p = write(tmp_path, "p.json", WORKED_P)
+        code, out = run_main(["twins", "--f", f, "--p", single, "--q", p], capsys)
+        assert code == 1
+        assert json.loads(out)["isomorphism"] is None
+
 
 class TestCloseAndLowerBound:
     def test_close(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scatterlab.errors import BadArgument
 from scatterlab.universe import (
     PairFunction,
+    good_pair_demands,
     good_pair_violations,
     pair_closure,
     random_pair_function,
@@ -152,6 +153,28 @@ class TestGoodPair:
                     assert clauses == oracle_good_pair_clauses(f, x, y), (sorted(x), sorted(y))
                     bad += bool(clauses)
         assert (bad > 0) == (density < 1.0)
+
+    def test_repairing_the_demands_makes_interleaved_domains_good(self):
+        # Each ordinal is shared, private to x or private to y at random, so
+        # shared points fall between private ones, unlike the sampler's prefix.
+        rng = random.Random(4)
+        repaired = 0
+        for seed in range(200):
+            kappa = rng.randint(3, 24)
+            f = random_pair_function(kappa, rng.choice((0.1, 0.5, 0.9)), seed)
+            roles = [rng.choice("sxy") for _ in range(kappa)]
+            x = {u for u, role in enumerate(roles) if role in "sx"}
+            y = {u for u, role in enumerate(roles) if role in "sy"}
+            demands = good_pair_demands(f, x, y)
+            unmet = {
+                k for beta, gamma, *needs in demands for k, need in zip("abc", needs) if not need <= f.value(beta, gamma)
+            }
+            assert unmet == oracle_good_pair_clauses(f, x, y)
+            fixed = f.updated({(beta, gamma): f.value(beta, gamma).union(*needs) for beta, gamma, *needs in demands})
+            assert good_pair_violations(fixed, x, y) == []
+            assert oracle_good_pair(fixed, x, y)
+            repaired += bool(unmet)
+        assert repaired > 0
 
 
 class TestPairClosure:
