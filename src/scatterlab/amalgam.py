@@ -5,12 +5,12 @@ between their domains is an isomorphism of the triples and fixes the common
 part.  *Good* twins additionally agree on ``i`` over the common pairs and
 have domains that form a good pair for the ambient pair function.  One
 checker, :func:`good_twin_violations`, names the failed clauses; the twin
-test and the re-check in :func:`verify_membership_equiv` call it.  For good
-twins the canonical common extension is assembled pointwise.  The anchor of
-a point, ``delta_xi``, is the least shared ordinal whose neighbourhood set
-contains it; :func:`anchors` tabulates it once per pair, and one rule reads
-the table: a private neighbourhood set gains the foreign points whose anchor
-it contains.
+test :func:`are_twins` reads only its clause-1 part, :func:`_twin_violations`.
+For good twins the canonical common extension is assembled pointwise.  The
+anchor of a point, ``delta_xi``, is the least shared ordinal whose
+neighbourhood set contains it; :func:`anchors` tabulates it once per pair,
+and one rule reads the table: a private neighbourhood set gains the foreign
+points whose anchor it contains.
 
 ``insertion_construction`` is the layered variant: a condition whose domain
 splits into layers ``S < E < F`` is rebuilt on ``S | E`` so that the part of
@@ -29,23 +29,15 @@ from .poset import Condition, h_union, validate_condition
 from .universe import PairFunction, good_pair_violations
 
 
-def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Condition) -> list[str]:
-    """Names of the failed good-twin clauses; empty means good twins.
-
-    Clause 1 is the twin clause: equal sizes, (iii) the shared points are
-    fixed, and the natural bijection carries (i) ``h`` and (ii) ``i``.
-    Clause 2 is agreement of ``i`` on the shared pairs, and clause 3 asks
-    the domains to form a good pair for ``f``; it is skipped when ``f`` is
-    ``None``.  This is the only evaluation of the clauses in the package.
-    """
-    out: list[str] = []
+def _twin_violations(p: Condition, p_prime: Condition) -> list[str]:
+    """Names of the failed clause-1 (twin) checks: equal sizes, (iii) the
+    shared points are fixed, and the natural bijection carries (i) ``h`` and
+    (ii) ``i``.  A size mismatch is the only message when the sizes differ."""
     if len(p.a) != len(p_prime.a):
         return ["1 (domain sizes differ)"]
     m = dict(zip(p.a, p_prime.a))
     common = frozenset(p.a) & frozenset(p_prime.a)
-    for xi in common:
-        if m[xi] != xi:
-            out.append(f"1(iii) at {xi}")
+    out = [f"1(iii) at {xi}" for xi in common if m[xi] != xi]
     if not out:
         for xi in p.a:
             if p_prime.h[m[xi]] != frozenset(m[v] for v in p.h[xi]):
@@ -53,10 +45,20 @@ def good_twin_violations(f: PairFunction | None, p: Condition, p_prime: Conditio
         for x, y in combinations(p.a, 2):
             if p_prime.i_value(m[x], m[y]) != frozenset(m[v] for v in p.i_value(x, y)):
                 out.append(f"1(ii) at {(x, y)}")
-    for x, y in combinations(sorted(common), 2):
-        if p.i_value(x, y) != p_prime.i_value(x, y):
-            out.append(f"2 at {(x, y)}")
-    if f is not None and good_pair_violations(f, p.a, p_prime.a):
+    return out
+
+
+def good_twin_violations(f: PairFunction, p: Condition, p_prime: Condition) -> list[str]:
+    """Names of the failed good-twin clauses; empty means good twins.  Clause
+    1 is :func:`_twin_violations`; when the sizes agree, clause 2 (``i``
+    agrees on the shared pairs) and clause 3 (the domains form a good pair
+    for ``f``) follow.  No other code evaluates clauses 2 and 3."""
+    out = _twin_violations(p, p_prime)
+    if len(p.a) != len(p_prime.a):
+        return out
+    shared = combinations(sorted(frozenset(p.a) & frozenset(p_prime.a)), 2)
+    out += [f"2 at {(x, y)}" for x, y in shared if p.i_value(x, y) != p_prime.i_value(x, y)]
+    if good_pair_violations(f, p.a, p_prime.a):
         out.append("3 (domains not a good pair)")
     return out
 
@@ -65,7 +67,7 @@ def are_twins(p: Condition, p_prime: Condition) -> Optional[tuple[tuple[int, int
     """The natural domain bijection as ``((x, x'), ...)`` pairs when it is an
     isomorphism fixing the overlap (clause 1 of :func:`good_twin_violations`);
     ``None`` otherwise.  Empty twins give ``()``."""
-    if any(c.startswith("1") for c in good_twin_violations(None, p, p_prime)):
+    if _twin_violations(p, p_prime):
         return None
     return tuple(zip(p.a, p_prime.a))
 
@@ -124,16 +126,15 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     return Condition(b, g, j)
 
 
-def verify_membership_equiv(p: Condition, p_prime: Condition, f: PairFunction | None) -> bool:
+def verify_membership_equiv(p: Condition, p_prime: Condition, f: PairFunction) -> bool:
     """Membership through the shared domain is equivalent to membership of
     the anchor.
 
     For every ``eta`` in one twin's domain and every shared ``delta``:
     ``eta in h(delta)`` exactly when ``delta_xi(eta)`` is defined and sits in
-    ``h(delta)``.  The twin clauses are re-checked with
-    :func:`good_twin_violations` (goodness only when ``f`` is not ``None``);
-    a ``False`` return on a genuine good-twin pair is a bug witness, not an
-    expected outcome.
+    ``h(delta)``.  The good-twin clauses over ``f`` are re-checked with
+    :func:`good_twin_violations`; a ``False`` return on a genuine good-twin
+    pair is a bug witness, not an expected outcome.
     """
     bad = good_twin_violations(f, p, p_prime)
     if bad:

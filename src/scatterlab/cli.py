@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -167,7 +168,7 @@ def _space_report(space: generic.SpaceModel) -> Outcome:
     loc = generic.check_loc_comp_hypothesis(space)
     compact = all(generic.compactness_by_subbase(space, alpha) for alpha in space.carrier)
     ranks = generic.cantor_bendixson(space)
-    histogram = {str(rank): len(points) for rank, points in generic.cb_levels(ranks).items()}
+    histogram = {str(rank): n for rank, n in sorted(Counter(ranks.values()).items())}
     report = {
         "max_invariant_violations": max_bad,
         "star_containment": star_ok,

@@ -266,13 +266,6 @@ def cantor_bendixson(space: SpaceModel) -> dict[int, int]:
     return {x: 0 for x in space.carrier if minimal_nbhd(space, x) == {x}}
 
 
-def cb_levels(ranks: dict[int, int]) -> dict[int, list[int]]:
-    levels: dict[int, list[int]] = {}
-    for x, r in ranks.items():
-        levels.setdefault(r, []).append(x)
-    return {r: sorted(xs) for r, xs in sorted(levels.items())}
-
-
 @dataclass(frozen=True)
 class FUCondition:
     """Pair of finite sets: acquired points and avoided index set."""

@@ -259,14 +259,10 @@ def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
     return r
 
 
-def as_restriction(p: Condition) -> RestrictedCondition:
-    """A condition viewed as the trace of itself on its whole domain."""
-    return restrict(p, p.a)
-
-
-def leq_restricted(r1: RestrictedCondition, r2: RestrictedCondition) -> bool:
+def leq_restricted(r1: Condition, r2: Condition) -> bool:
     """The extension order carried over to traces.  A trace's ``h``-values
-    already lie inside its domain, so this is :func:`leq` on the triples."""
+    already lie inside its domain, so this is :func:`leq` on the triples;
+    a condition is the trace of itself on its whole domain."""
     return leq(r1, r2)
 
 

@@ -38,6 +38,25 @@ def random_subset(rng: random.Random, pool: Sequence[int]) -> frozenset[int]:
     return frozenset(x for x in pool if rng.random() < 0.5)
 
 
+def _extend_randomly(
+    p: Condition, rng: random.Random, points: Sequence[int], chance: float, cap: Optional[int]
+) -> Condition:
+    """``p`` extended by each of ``points`` in turn: with probability ``chance``
+    into the neighbourhood of a random larger ``beta``, avoiding at most ``cap``
+    points below it (``None``: no cap), otherwise as an isolated point."""
+    for alpha in points:
+        larger = [b for b in p.a if b > alpha]
+        if larger and rng.random() < chance:
+            beta = rng.choice(larger)
+            below = [x for x in p.a if x < beta]
+            most = len(below) if cap is None else min(cap, len(below))
+            b = frozenset(rng.sample(below, rng.randint(0, most)))
+            p = extend_into_neighbourhood(p, beta, b, alpha)
+        else:
+            p = extend_with_point(p, alpha)
+    return p
+
+
 def random_condition(
     f: PairFunction,
     rng: random.Random,
@@ -56,16 +75,7 @@ def random_condition(
     pool = list(universe if universe is not None else range(f.kappa))
     size = min(size, len(pool))
     chosen = rng.sample(pool, size)
-    p = Condition.empty()
-    for alpha in chosen:
-        larger = [b for b in p.a if b > alpha]
-        if larger and rng.random() < 0.6:
-            beta = rng.choice(larger)
-            below = [x for x in p.a if x < beta]
-            b = frozenset(rng.sample(below, rng.randint(0, len(below))))
-            p = extend_into_neighbourhood(p, beta, b, alpha)
-        else:
-            p = extend_with_point(p, alpha)
+    p = _extend_randomly(Condition.empty(), rng, chosen, 0.6, None)
     i = dict(p.i)
     for x, y in combinations(p.a, 2):
         room = (f.value(x, y) & frozenset(p.a)) - p.i_value(x, y)
@@ -224,17 +234,7 @@ def insertion_instance(
     for xi in base.a:
         for g in f_part:
             i[pair(xi, g)] = frozenset()
-    s = Condition(dom, h, i)
-
-    for alpha in s_extra:
-        hosts = [b for b in s.a if b > alpha]
-        if hosts and rng.random() < 0.4:
-            beta = rng.choice(hosts)
-            below = [x for x in s.a if x < beta]
-            b = frozenset(rng.sample(below, rng.randint(0, min(2, len(below)))))
-            s = extend_into_neighbourhood(s, beta, b, alpha)
-        else:
-            s = extend_with_point(s, alpha)
+    s = _extend_randomly(Condition(dom, h, i), rng, s_extra, 0.4, 2)
 
     layout = InsertionLayout(
         S=frozenset(q_part) | frozenset(s_extra),

@@ -19,7 +19,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -54,14 +54,7 @@ class RunReport:
         return all(counts["fail"] == 0 for counts in self.outcome.values())
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outcome": self.outcome,
-            "witnesses": self.witnesses,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 class _Tally:
@@ -190,7 +183,7 @@ def _poset_laws_trial(ctx: SuiteContext, trial: int) -> _Tally:
     for p in pool:
         tally.hit("reflexive", poset.leq(p, p), note(p))
         below = list(p.a)
-        whole = poset.as_restriction(p)
+        whole = poset.restrict(p, p.a)
         for r in range(len(below) + 1):
             for b in combinations(below, r):
                 rc = poset.restrict(p, b)
@@ -281,9 +274,9 @@ def _insertion_trial(ctx: SuiteContext, trial: int) -> _Tally:
     tally.hit("hypotheses-accepted", True, wit)
     tally.hit("result-valid", poset.validate_condition(f, r).ok, wit)
     s_trace = poset.restrict(s, layout.S)
-    tally.hit("(a)-below-s-trace", poset.leq_restricted(poset.as_restriction(r), s_trace), wit)
+    tally.hit("(a)-below-s-trace", poset.leq_restricted(r, s_trace), wit)
     qe_trace = poset.restrict(s, layout.Q | layout.E)
-    tally.hit("(b)-below-qe-trace", poset.leq_restricted(poset.as_restriction(r), qe_trace), wit)
+    tally.hit("(b)-below-qe-trace", poset.leq_restricted(r, qe_trace), wit)
     c_block = layout.S - poset.h_union(s.h, layout.Q | layout.E)
     tally.hit("(c)-block-inserted", c_block <= r.h[layout.gammas[0]], {**wit, "C": sorted(c_block)})
     se = poset.restrict(s, layout.S | layout.E).as_condition()
@@ -408,11 +401,10 @@ def _space_trial(ctx: SuiteContext, trial: int) -> _Tally:
 
     ranks = generic.cantor_bendixson(space)
     tally.hit("cb-total", set(ranks) == set(space.carrier), wit)
-    discrete = all(
-        generic.minimal_nbhd(space, x) & frozenset(xs) == {x}
-        for xs in generic.cb_levels(ranks).values()
-        for x in xs
-    )
+    levels: dict[int, set[int]] = {}
+    for x, rank in ranks.items():
+        levels.setdefault(rank, set()).add(x)
+    discrete = all(generic.minimal_nbhd(space, x) & levels[rank] == {x} for x, rank in ranks.items())
     tally.hit("cb-levels-discrete", discrete, wit)
     tally.notes.update({"coherent-spaces-observed": int(generic.is_coherent(space)), "spaces": 1})
     return tally

@@ -131,14 +131,13 @@ def oracle_twins(p, q) -> bool:
 
 def oracle_good_twins(f, p, q) -> bool:
     """Good twins from the definition: twins that agree on ``i`` over the
-    shared pairs, whose domains form a good pair for ``f``.  With ``f`` None
-    the good-pair requirement is left out."""
+    shared pairs, whose domains form a good pair for ``f``."""
     if not oracle_twins(p, q):
         return False
     shared = sorted(set(p.a) & set(q.a))
     if any(set(p.i[(x, y)]) != set(q.i[(x, y)]) for x, y in combinations(shared, 2)):
         return False
-    return f is None or oracle_good_pair(f, p.a, q.a)
+    return oracle_good_pair(f, p.a, q.a)
 
 
 def oracle_anchor(p, q, eta):

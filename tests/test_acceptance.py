@@ -12,7 +12,6 @@ from itertools import combinations
 from scatterlab import suites
 from scatterlab.errors import EqualSup
 from scatterlab.poset import (
-    as_restriction,
     basic_nbhd,
     extend_into_neighbourhood,
     extend_with_point,
@@ -153,9 +152,9 @@ def test_criterion_5_insertion():
             continue
         if oracle_validate(f, r):
             failures.append((trial, "result-invalid"))
-        if not leq_restricted(as_restriction(r), restrict(s, layout.S)):
+        if not leq_restricted(restrict(r, r.a), restrict(s, layout.S)):
             failures.append((trial, "(a)"))
-        if not leq_restricted(as_restriction(r), restrict(s, layout.Q | layout.E)):
+        if not leq_restricted(restrict(r, r.a), restrict(s, layout.Q | layout.E)):
             failures.append((trial, "(b)"))
         if not layout.S - h_union(s.h, layout.Q | layout.E) <= r.h[layout.gammas[0]]:
             failures.append((trial, "(c)"))

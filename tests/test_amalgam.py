@@ -17,7 +17,6 @@ from scatterlab.amalgam import (
 from scatterlab.errors import HypothesisViolated, NotGoodTwins
 from scatterlab.poset import (
     Condition,
-    as_restriction,
     h_union,
     leq,
     leq_restricted,
@@ -91,6 +90,36 @@ class TestGoodTwins:
         assert any(v.startswith("1(ii)") for v in violations)
         assert any(v.startswith("2 ") for v in violations)
 
+    @pytest.mark.parametrize(
+        "f, p, q, clauses, twins",
+        [
+            # a size mismatch ends the check: no clause 2 or 3 is read
+            (WORKED_F, P, Condition.single(0), ["1 (domain sizes differ)"], None),
+            # 1(iii) fails, so 1(i) and 1(ii) are not read, but clauses 2 and 3 are
+            (
+                PairFunction.build(4),
+                Condition([0, 2, 3], {0: {0}, 2: {2}, 3: {3}}, {(0, 2): set(), (0, 3): set(), (2, 3): set()}),
+                Condition([0, 1, 2], {0: {0}, 1: {1}, 2: {2}}, {(0, 1): set(), (0, 2): {0}, (1, 2): set()}),
+                ["1(iii) at 2", "2 at (0, 2)", "3 (domains not a good pair)"],
+                None,
+            ),
+            # twins whose domains are not a good pair
+            (PairFunction.build(4), P, Q, ["3 (domains not a good pair)"], ((0, 0), (1, 2))),
+            # the identity bijection carries a different i: 1(ii) and 2
+            (
+                random_pair_function(6, 1.0, 0),
+                Condition([0, 1, 2], {0: {0}, 1: {0, 1}, 2: {0, 1, 2}}, {(0, 1): set(), (0, 2): set(), (1, 2): set()}),
+                Condition([0, 1, 2], {0: {0}, 1: {0, 1}, 2: {0, 1, 2}}, {(0, 1): set(), (0, 2): set(), (1, 2): {0}}),
+                ["1(ii) at (1, 2)", "2 at (1, 2)"],
+                None,
+            ),
+        ],
+        ids=["size-mismatch", "moved-shared-point", "bad-pair", "i-disagrees"],
+    )
+    def test_clause_lists_are_pinned(self, f, p, q, clauses, twins):
+        assert good_twin_violations(f, p, q) == clauses
+        assert are_twins(p, q) == twins
+
 
 def perturbed(q: Condition, rng: random.Random) -> Condition:
     """``q`` with one member of one ``h``-value or one ``i``-value toggled."""
@@ -135,15 +164,15 @@ class TestTwinOracle:
         # every branch occurs: good twins, twins over a bad pair, non-twins
         assert outcomes == {(True, True), (False, True), (False, False)}
 
-    def test_membership_equiv_without_f_checks_clauses_1_and_2(self):
+    def test_membership_equiv_raises_exactly_on_bad_twins(self):
         seen = set()
-        for _, p, q in twin_oracle_cases():
+        for f, p, q in twin_oracle_cases():
             try:
-                verify_membership_equiv(p, q, None)
+                verify_membership_equiv(p, q, f)
                 raised = False
             except NotGoodTwins:
                 raised = True
-            assert raised == (not oracle_good_twins(None, p, q))
+            assert raised == (not oracle_good_twins(f, p, q))
             seen.add(raised)
         assert seen == {True, False}
 
@@ -210,12 +239,9 @@ class TestMembershipEquiv:
     def test_worked_pair(self):
         assert verify_membership_equiv(P, Q, WORKED_F)
 
-    def test_twin_check_without_f(self):
-        assert verify_membership_equiv(P, Q, None)
-
     def test_rejects_non_twins(self):
         with pytest.raises(NotGoodTwins):
-            verify_membership_equiv(P, Condition.single(0), None)
+            verify_membership_equiv(P, Condition.single(0), WORKED_F)
 
 
 # Bounded-exhaustive scope: every valid condition of size 1 to 3 on the carrier
@@ -350,8 +376,8 @@ class TestInsertion:
             )
             r = insertion_construction(f, s, layout)
             assert not oracle_validate(f, r)
-            assert leq_restricted(as_restriction(r), restrict(s, layout.S))
-            assert leq_restricted(as_restriction(r), restrict(s, layout.Q | layout.E))
+            assert leq_restricted(restrict(r, r.a), restrict(s, layout.S))
+            assert leq_restricted(restrict(r, r.a), restrict(s, layout.Q | layout.E))
             c_block = layout.S - h_union(s.h, layout.Q | layout.E)
             assert c_block <= r.h[layout.gammas[0]]
             se = restrict(s, layout.S | layout.E).as_condition()

@@ -12,7 +12,6 @@ from scatterlab.generic import (
     SpaceModel,
     assemble_space,
     cantor_bendixson,
-    cb_levels,
     check_loc_comp_hypothesis,
     check_star_containment,
     closure,
@@ -326,11 +325,12 @@ class TestCantorBendixson:
             f = random_pair_function(kappa, 0.5, rng.randint(0, 99))
             space, _, _ = random_space(f, rng.randint(0, 99))
             ranks = cantor_bendixson(space)
-            levels = cb_levels(ranks)
+            levels: dict[int, set[int]] = {}
+            for x, rank in ranks.items():
+                levels.setdefault(rank, set()).add(x)
             assert sorted(x for xs in levels.values() for x in xs) == list(space.carrier)
-            for xs in levels.values():
-                for x in xs:
-                    assert minimal_nbhd(space, x) & frozenset(xs) == {x}
+            for x, rank in ranks.items():
+                assert minimal_nbhd(space, x) & levels[rank] == {x}
 
 
 FU_SPACE = SpaceModel(

@@ -1,5 +1,7 @@
-"""Every import in the package is used: each module's source is read with
-:mod:`ast`, and a name an import binds must occur somewhere else in it."""
+"""Every import and every private name in the package is used: each
+module's source is read with :mod:`ast`, a name an import binds must occur
+somewhere else in it, and a module-level ``_name`` must be read outside its
+own definition."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,51 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads, including those in quoted annotations."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            names |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns is not None:
+            names |= _annotation_names(sub.returns)
+    return names
+
+
+def orphaned_private_names(tree: ast.Module) -> list[str]:
+    """The module-level ``_name`` defs, classes and assignments of ``tree``
+    that nothing outside their own definition reads."""
+    defined, read = set(), set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+            read |= _reads(stmt) - {stmt.name}
+            continue
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        read |= _reads(stmt)
+    return sorted(name for name in defined - read if name.startswith("_") and not name.startswith("__"))
+
+
+def test_the_check_finds_an_orphaned_private_name():
+    source = (
+        "_used, _orphan = 1, 2\n"
+        "_ORPHAN: int = 3\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Quoted:\n    pass\n"
+        "class _Unread:\n    pass\n"
+        "def public() -> '_Quoted':\n    return _used + _later()\n"
+        "def _later():\n    return 0\n"
+        "__all__ = ['public']\n"
+    )
+    assert orphaned_private_names(ast.parse(source)) == ["_ORPHAN", "_Unread", "_orphan", "_recursive"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_orphaned_private_name(path):
+    assert orphaned_private_names(ast.parse(path.read_text())) == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scatterlab.errors import BadArgument, EqualSup
 from scatterlab.poset import (
     Condition,
-    as_restriction,
     basic_nbhd,
     extend_into_neighbourhood,
     extend_with_point,
@@ -222,7 +221,7 @@ class TestRestrict:
 class TestLeqRestricted:
     def test_reflexive(self):
         p = cond([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
-        assert leq_restricted(as_restriction(p), as_restriction(p))
+        assert leq_restricted(restrict(p, p.a), restrict(p, p.a))
 
     def test_agrees_with_leq_on_full_conditions(self):
         rng = random.Random(5)
@@ -230,12 +229,12 @@ class TestLeqRestricted:
         for _ in range(60):
             p = random_condition(f, rng, rng.randint(0, 5))
             q = random_condition(f, rng, rng.randint(0, 5))
-            assert leq_restricted(as_restriction(p), as_restriction(q)) == leq(p, q)
+            assert leq_restricted(restrict(p, p.a), restrict(q, q.a)) == leq(p, q)
 
     def test_base_not_contained(self):
         p = cond([0, 1], {0: {0}, 1: {0, 1}}, {(0, 1): set()})
         q = cond([0, 2], {0: {0}, 2: {0, 2}}, {(0, 2): set()})
-        assert not leq_restricted(as_restriction(p), as_restriction(q))
+        assert not leq_restricted(restrict(p, p.a), restrict(q, q.a))
 
 
 class TestPrecedes:
