@@ -42,8 +42,10 @@ def _twin_violations(p: Condition, p_prime: Condition) -> list[str]:
         for xi in p.a:
             if p_prime.h[m[xi]] != frozenset(m[v] for v in p.h[xi]):
                 out.append(f"1(i) at {xi}")
+        # m preserves order, so (m[x], m[y]) is canonical; it fixes the shared part.
         for x, y in combinations(p.a, 2):
-            if p_prime.i_value(m[x], m[y]) != frozenset(m[v] for v in p.i_value(x, y)):
+            v = p.i[(x, y)]
+            if p_prime.i[(m[x], m[y])] != (v if v <= common else frozenset(m[u] for u in v)):
                 out.append(f"1(ii) at {(x, y)}")
     return out
 
@@ -57,7 +59,7 @@ def good_twin_violations(f: PairFunction, p: Condition, p_prime: Condition) -> l
     if len(p.a) != len(p_prime.a):
         return out
     shared = combinations(sorted(frozenset(p.a) & frozenset(p_prime.a)), 2)
-    out += [f"2 at {(x, y)}" for x, y in shared if p.i_value(x, y) != p_prime.i_value(x, y)]
+    out += [f"2 at {(x, y)}" for x, y in shared if p.i[(x, y)] != p_prime.i[(x, y)]]
     if good_pair_violations(f, p.a, p_prime.a):
         out.append("3 (domains not a good pair)")
     return out
@@ -117,13 +119,13 @@ def amalgamate(f: PairFunction, p: Condition, p_prime: Condition) -> Condition:
     j: dict[tuple[int, int], frozenset[int]] = {}
     for x, y in combinations(sorted(b), 2):
         if x in a and y in a:
-            j[(x, y)] = p.i_value(x, y)
+            j[(x, y)] = p.i[(x, y)]
         elif x in a2 and y in a2:
-            j[(x, y)] = p_prime.i_value(x, y)
+            j[(x, y)] = p_prime.i[(x, y)]
         else:
-            v = f.value(x, y)
+            v = f.values[(x, y)]
             j[(x, y)] = v if v <= b else v & b  # f's own object when it fits: no copy
-    return Condition(b, g, j)
+    return Condition._from_parts(tuple(sorted(b)), g, j)
 
 
 def verify_membership_equiv(p: Condition, p_prime: Condition, f: PairFunction) -> bool:
@@ -234,7 +236,7 @@ def insertion_construction(f: PairFunction, s: Condition, layout: InsertionLayou
     for idx, (g0, g1) in enumerate(layout.gamma_pairs):
         gi = gammas[idx]
         for xi in layout.S:
-            if not f.value(xi, gi) == f.value(xi, g0) == f.value(xi, g1):
+            if not f.values[(xi, gi)] == f.values[(xi, g0)] == f.values[(xi, g1)]:  # S < E < F: canonical keys
                 raise HypothesisViolated(f"(ii) fails at xi={xi}, pair index {idx}")
 
     c = layout.S - hqe
@@ -249,8 +251,8 @@ def insertion_construction(f: PairFunction, s: Condition, layout: InsertionLayou
     i: dict[tuple[int, int], frozenset[int]] = {}
     for x, y in combinations(sorted(new_dom), 2):
         if (x in qe and y in qe) or (x in layout.S and y in layout.S):
-            i[(x, y)] = s.i_value(x, y)
+            i[(x, y)] = s.i[(x, y)]
         else:
-            v = f.value(x, y)
+            v = f.values[(x, y)]
             i[(x, y)] = v if v <= new_dom else v & new_dom  # f's own object when it fits: no copy
-    return Condition(new_dom, h, i)
+    return Condition._from_parts(tuple(sorted(new_dom)), h, i)

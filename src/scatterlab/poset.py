@@ -70,6 +70,13 @@ class Condition:
         }
 
     @classmethod
+    def _from_parts(cls, a: tuple[int, ...], h: dict, i: dict) -> "Condition":
+        """A condition from parts already in ``__init__``'s shape, without copies."""
+        c = cls.__new__(cls)
+        c.a, c.h, c.i = a, h, i
+        return c
+
+    @classmethod
     def empty(cls) -> "Condition":
         """The poset's top element: the condition with empty domain."""
         return cls()
@@ -91,7 +98,7 @@ class Condition:
     def __eq__(self, other):
         if not isinstance(other, Condition):
             return NotImplemented
-        return self.key() == other.key()
+        return self.a == other.a and self.h == other.h and self.i == other.i
 
     def __hash__(self):
         return hash(self.key())
@@ -145,7 +152,9 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
 
     ``p.a`` is a sorted tuple of distinct ordinals (``Condition`` and
     ``restrict`` both make it so), so ``combinations(p.a, 2)`` yields the
-    canonical pair keys of ``i`` and ``f``.
+    canonical pair keys of ``i`` and ``f``.  Clause (iv) computes on int masks
+    local to this call; frozensets stay the representation of every
+    condition, argument and report.
     """
     f.check_members(p.a, *p.h.values(), *p.i.values())
     dom = frozenset(p.a)
@@ -181,12 +190,19 @@ def validate_condition(f: PairFunction, p: Condition) -> ValidityReport:
         if iv is not None and not iv <= f.values[(x, y)]:
             out.append(Violation("iii", (x, y), f"i{(x, y)} exceeds f{(x, y)}"))
 
+    hm = {xi: sum(1 << v for v in hv) for xi, hv in p.h.items()}  # shifts >= 0: check_members ran
     for x, y in pairs:
         if not (x in settled and y in settled):
             continue  # already reported under (i) or (ii); star may be undefined
-        uncovered = star(p.h[x], p.h[y]) - h_union(p.h, p.i.get((x, y), ()))
-        if uncovered:
-            out.append(Violation("iv", (x, y), f"star not covered at {(x, y)}: {sorted(uncovered)}"))
+        # max h(x) = x < y = max h(y): star is h(x) - h(y) if x in h(y), else h(x) & h(y).
+        left = hm[x] & ~hm[y] if hm[y] >> x & 1 else hm[x] & hm[y]
+        for nu in p.i.get((x, y), ()):
+            if not left:
+                break
+            left &= ~hm.get(nu, 0)
+        if left:
+            uncovered = [v for v in range(left.bit_length()) if left >> v & 1]
+            out.append(Violation("iv", (x, y), f"star not covered at {(x, y)}: {uncovered}"))
 
     return ValidityReport(tuple(out))
 
@@ -249,12 +265,9 @@ def restrict(p: Condition, b: Iterable[int]) -> RestrictedCondition:
     bs = frozenset(b)
     if not bs.issubset(p.a):
         raise BadArgument(f"{sorted(bs)} is not a subset of the domain {list(p.a)}")
-    # The slots are filled directly: this is the hot path of the poset suite,
-    # and the values are already in the shape Condition.__init__ would make.
-    r = RestrictedCondition.__new__(RestrictedCondition)
-    r.a = tuple(sorted(bs))
-    r.h = {xi: p.h[xi] & bs for xi in r.a}
-    r.i = {k: v for k, v in p.i.items() if k[0] in bs and k[1] in bs}
+    a = tuple(sorted(bs))  # built from its parts: the hot path of the poset suite
+    i = {k: v for k, v in p.i.items() if k[0] in bs and k[1] in bs}
+    r = RestrictedCondition._from_parts(a, {xi: p.h[xi] & bs for xi in a}, i)
     r.is_condition = all(map(bs.issuperset, r.i.values()))
     return r
 
@@ -289,7 +302,7 @@ def _add_point(p: Condition, alpha: int, hosts: Iterable[int]) -> Condition:
     h[alpha] = frozenset((alpha,))
     i = dict(p.i)
     i.update((pair(alpha, xi), frozenset()) for xi in p.a)
-    return Condition(p.a + (alpha,), h, i)
+    return Condition._from_parts(tuple(sorted(p.a + (alpha,))), h, i)
 
 
 def extend_with_point(p: Condition, alpha: int) -> Condition:

@@ -19,7 +19,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -54,7 +54,7 @@ class RunReport:
         return all(counts["fail"] == 0 for counts in self.outcome.values())
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Tally:

@@ -129,6 +129,27 @@ def oracle_twins(p, q) -> bool:
     return True
 
 
+def oracle_twin_violations(p, q) -> list[str]:
+    """The clause-1 messages of the twin check, as the library named them
+    before its shortcuts: every ``i`` value of ``p`` is transported through
+    the bijection with ``i_value``, shared part included.  The size mismatch
+    is the only message when the sizes differ; 1(i) and 1(ii) are checked
+    only when 1(iii) holds."""
+    if len(p.a) != len(q.a):
+        return ["1 (domain sizes differ)"]
+    m = dict(zip(p.a, q.a))
+    common = frozenset(p.a) & frozenset(q.a)
+    out = [f"1(iii) at {xi}" for xi in common if m[xi] != xi]
+    if not out:
+        for xi in p.a:
+            if q.h[m[xi]] != frozenset(m[v] for v in p.h[xi]):
+                out.append(f"1(i) at {xi}")
+        for x, y in combinations(p.a, 2):
+            if q.i_value(m[x], m[y]) != frozenset(m[v] for v in p.i_value(x, y)):
+                out.append(f"1(ii) at {(x, y)}")
+    return out
+
+
 def oracle_good_twins(f, p, q) -> bool:
     """Good twins from the definition: twins that agree on ``i`` over the
     shared pairs, whose domains form a good pair for ``f``."""
@@ -216,6 +237,43 @@ def oracle_validate(f, p) -> list[str]:
         if not value <= union:
             problems.append(f"iv: pair ({x},{y})")
     return problems
+
+
+def oracle_star_uncovered(p) -> list[tuple[tuple[int, int], list[int]]]:
+    """Each domain pair ``(x, y)``, ``x < y``, at which clause (iv) fails,
+    with the part of the star left uncovered as a sorted list.  Only pairs
+    of points whose ``h`` is defined with the point itself as maximum are
+    tested; the cover is the plain union of ``h`` over ``i{x,y}``, where an
+    index without ``h`` and a missing ``i`` value add nothing."""
+    def settled(x):
+        return x in p.h and p.h[x] and max(p.h[x]) == x
+
+    out = []
+    for x, y in combinations(sorted(p.a), 2):
+        if not (settled(x) and settled(y)):
+            continue
+        count, value = oracle_star(p.h[x], p.h[y])
+        assert count == 1, "star must be determined on settled points"
+        union = set()
+        for nu in p.i.get((x, y), ()):
+            union |= p.h.get(nu, set())
+        left = set(value) - union
+        if left:
+            out.append(((x, y), sorted(left)))
+    return out
+
+
+def oracle_normal_form(c) -> bool:
+    """Whether ``c`` has the shape every condition is built in: ``a`` a
+    sorted tuple of distinct ints, ``h`` with int keys and ``i`` with keys
+    ``(lo, hi)``, ``lo < hi``, and frozensets as all values."""
+    return (
+        type(c.a) is tuple
+        and list(c.a) == sorted(set(c.a))
+        and all(type(x) is int for x in c.a)
+        and all(type(xi) is int and type(v) is frozenset for xi, v in c.h.items())
+        and all(type(k) is tuple and len(k) == 2 and k[0] < k[1] and type(v) is frozenset for k, v in c.i.items())
+    )
 
 
 def oracle_leq(p, q) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from scatterlab.amalgam import (
     InsertionLayout,
+    _twin_violations,
     amalgamate,
     are_twins,
     anchors,
@@ -31,8 +32,12 @@ from oracles import (
     oracle_amalgamate,
     oracle_anchor,
     oracle_good_twins,
+    oracle_normal_form,
     oracle_precedes,
+    oracle_star,
+    oracle_star_uncovered,
     oracle_twin_repair,
+    oracle_twin_violations,
     oracle_twins,
     oracle_validate,
 )
@@ -160,6 +165,7 @@ class TestTwinOracle:
             good = oracle_good_twins(f, p, q)
             assert (good_twin_violations(f, p, q) == []) == good
             assert (are_twins(p, q) is not None) == oracle_twins(p, q)
+            assert _twin_violations(p, q) == oracle_twin_violations(p, q)
             outcomes.add((good, oracle_twins(p, q)))
         # every branch occurs: good twins, twins over a bad pair, non-twins
         assert outcomes == {(True, True), (False, True), (False, False)}
@@ -235,6 +241,88 @@ class TestAmalgamate:
             assert g_well_defined(p, q)
 
 
+def without(c: Condition, k: tuple[int, int], nu: int) -> Condition:
+    """``c`` with ``nu`` dropped from ``i`` at ``k``."""
+    return Condition(c.a, c.h, {**c.i, k: c.i[k] - {nu}})
+
+
+def uncovering_drops(c: Condition) -> list[tuple[tuple[int, int], int]]:
+    """Each ``(pair, nu)`` whose removal from ``i`` leaves part of the star uncovered."""
+    out = []
+    for (x, y), v in sorted(c.i.items()):
+        _, st = oracle_star(c.h[x], c.h[y])
+        out += [((x, y), nu) for nu in sorted(v) if not st <= set().union(*(c.h[m] for m in v - {nu}))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def k64_amalgams():
+    """Good twins of 30 points on a carrier of 64 and their amalgamations;
+    between them the domains hold both ordinal 0 and ordinal 63."""
+    rng = random.Random(64)
+    out = []
+    for t in range(8):
+        f2, p, q = good_twin_pair(random_pair_function(64, 0.5, t), rng, 30)
+        out.append((f2, p, q, amalgamate(f2, p, q)))
+    assert any(0 in r.a and 63 in r.a for *_, r in out)
+    return out
+
+
+class TestAgainstFrozensetOracles:
+    """Messages, not only verdicts, match the set-by-set oracles at kappa 64."""
+
+    def test_star_cover_with_one_i_member_dropped(self, k64_amalgams):
+        rng = random.Random(1)
+        failing_pairs, uncovered = set(), set()
+        for f, _, _, r in k64_amalgams:
+            held = [(k, nu) for k, v in sorted(r.i.items()) for nu in sorted(v)]
+            cases = [r] + [without(r, k, nu) for k, nu in uncovering_drops(r) + rng.sample(held, 10)]
+            for c in cases:
+                lib = [(v.at, v.detail) for v in validate_condition(f, c).violations if v.clause == "iv"]
+                want = oracle_star_uncovered(c)
+                assert lib == [(k, f"star not covered at {k}: {left}") for k, left in want]
+                failing_pairs.update(k for k, _ in want)
+                uncovered.update(x for _, left in want for x in left)
+        # Bit 63 sits in h(63) at a failing pair, bit 0 in an uncovered star.
+        assert any(y == 63 for _, y in failing_pairs) and 0 in uncovered
+
+    def test_twin_messages_with_one_i_member_dropped(self, k64_amalgams):
+        rng = random.Random(2)
+        kinds = set()
+        for f, p, q, _ in k64_amalgams:
+            assert _twin_violations(p, q) == oracle_twin_violations(p, q) == []
+            held = [(k, nu) for k, v in sorted(q.i.items()) for nu in sorted(v)]
+            for k, nu in rng.sample(held, 10):
+                q2 = without(q, k, nu)
+                for a, b in ((p, q2), (q2, p)):
+                    assert _twin_violations(a, b) == oracle_twin_violations(a, b)
+                    kinds.update(m.split(" ")[0] for m in good_twin_violations(f, a, b))
+        assert {"1(ii)", "2"} <= kinds
+
+
+class TestResultsAreNormal:
+    """``amalgamate`` and ``insertion_construction`` build their results from
+    parts; the parts have the shape ``Condition.__init__`` gives."""
+
+    @staticmethod
+    def check(r):
+        assert type(r) is Condition
+        assert oracle_normal_form(r)
+        assert r.key() == Condition(r.a, r.h, r.i).key()
+
+    def test_amalgamations(self, small_good_twins, k64_amalgams):
+        for p, q in small_good_twins:
+            self.check(amalgamate(SMALL_F, p, q))
+        for *_, r in k64_amalgams:
+            self.check(r)
+
+    def test_insertions(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            f, s, layout = insertion_instance(rng, kappa=rng.choice((16, 24, 64)))
+            self.check(insertion_construction(f, s, layout))
+
+
 class TestMembershipEquiv:
     def test_worked_pair(self):
         assert verify_membership_equiv(P, Q, WORKED_F)
@@ -276,6 +364,7 @@ class TestBoundedExhaustive:
     def test_checker_matches_oracle(self, small_same_size_pairs):
         for p, q in small_same_size_pairs:
             assert (good_twin_violations(SMALL_F, p, q) == []) == oracle_good_twins(SMALL_F, p, q)
+            assert _twin_violations(p, q) == oracle_twin_violations(p, q)
 
     def test_amalgamate_matches_oracle(self, small_good_twins):
         for p, q in small_good_twins:

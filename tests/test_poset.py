@@ -22,7 +22,14 @@ from scatterlab.sampling import iter_conditions, random_condition
 from scatterlab.suites import _POSET_CAP_PER_DOMAIN, _POSET_DOMAIN, derive_seed
 from scatterlab.universe import PairFunction, random_pair_function
 
-from oracles import oracle_leq, oracle_precedes, oracle_star, oracle_validate
+from oracles import (
+    oracle_leq,
+    oracle_normal_form,
+    oracle_precedes,
+    oracle_star,
+    oracle_star_uncovered,
+    oracle_validate,
+)
 
 
 def nonempty_subsets(pool):
@@ -115,8 +122,95 @@ class TestValidate:
             p = cond(dom, h, i)
             lib_ok = validate_condition(f, p).ok
             assert lib_ok == (not oracle_validate(f, p))
+            assert iv_messages(f, p) == oracle_iv_messages(p)
             agree += 1
         assert agree == 120
+
+
+def iv_messages(f, p):
+    """The library's clause-(iv) violations as ``(pair, text)``, in order."""
+    return [(v.at, v.detail) for v in validate_condition(f, p).violations if v.clause == "iv"]
+
+
+def oracle_iv_messages(p):
+    return [(k, f"star not covered at {k}: {left}") for k, left in oracle_star_uncovered(p)]
+
+
+def without_one_i_member(p, rng):
+    """``p`` with one member dropped from one nonempty ``i`` value, or None."""
+    keys = sorted(k for k, v in p.i.items() if v)
+    if not keys:
+        return None
+    k = rng.choice(keys)
+    return Condition(p.a, p.h, {**p.i, k: p.i[k] - {rng.choice(sorted(p.i[k]))}})
+
+
+K5_F = random_pair_function(5, 0.5, 0)
+
+
+def k5_conditions(max_size=5):
+    return [p for n in range(max_size + 1) for dom in combinations(range(5), n) for p in iter_conditions(K5_F, dom)]
+
+
+class TestStarCover:
+    """Clause (iv) message for message against ``oracle_star_uncovered``."""
+
+    def test_every_k5_condition_and_a_weakened_copy(self):
+        rng = random.Random(5)
+        failing = 0
+        for p in k5_conditions():
+            assert iv_messages(K5_F, p) == oracle_iv_messages(p) == []
+            weak = without_one_i_member(p, rng)
+            if weak is not None:
+                assert iv_messages(K5_F, weak) == oracle_iv_messages(weak)
+                failing += bool(oracle_iv_messages(weak))
+        assert failing > 0
+
+    def test_random_k6_triples_with_partial_h(self):
+        # h may be undefined at a domain point, defined off the domain, empty,
+        # or without its point as maximum; i may miss pairs and name points
+        # where h is undefined.
+        rng = random.Random(6)
+        seen = set()
+        for t in range(300):
+            f = random_pair_function(6, 0.5, t)
+            dom = sorted(rng.sample(range(6), rng.randint(1, 6)))
+            h = {xi: frozenset(rng.sample(range(6), rng.randint(0, 4))) | ({xi} if rng.random() < 0.8 else set())
+                 for xi in range(6) if (xi in dom and rng.random() < 0.85) or rng.random() < 0.1}
+            i = {k: frozenset(rng.sample(range(6), rng.randint(0, 3)))
+                 for k in combinations(dom, 2) if rng.random() < 0.9}
+            p = cond(dom, h, i)
+            assert iv_messages(f, p) == oracle_iv_messages(p)
+            assert validate_condition(f, p).ok == (not oracle_validate(f, p))
+            seen.add(bool(oracle_iv_messages(p)))
+            seen.add(("partial", any(xi not in h for xi in dom)))
+            seen.add(("outside", any(nu not in h for v in i.values() for nu in v)))
+        assert seen == {True, False, ("partial", True), ("partial", False), ("outside", True), ("outside", False)}
+
+
+class TestEquality:
+    """``==`` compares the triples; it is the relation of equal keys."""
+
+    def test_equal_exactly_when_keys_are_equal(self):
+        family = k5_conditions(3)
+        # Rebuilt copies: equal triples, dicts filled in the reverse order.
+        copies = [cond(reversed(p.a), dict(reversed(p.h.items())), dict(reversed(p.i.items()))) for p in family]
+        objs = family + copies
+        keys = [c.key() for c in objs]
+        for c, kc in zip(objs, keys):
+            for d, kd in zip(objs, keys):
+                assert (c == d) == (kc == kd)
+                if c == d:
+                    assert hash(c) == hash(d)
+        assert sum(c == d for c, d in zip(family, copies)) == len(family)
+
+    def test_restriction_to_the_whole_domain_equals_the_condition(self):
+        family = k5_conditions()
+        for p in family:
+            r = restrict(p, p.a)
+            assert r == p and p == r and r.key() == p.key() and hash(r) == hash(p)
+        q = family[-1]
+        assert restrict(q, q.a[1:]) != q
 
 
 class TestLeq:
@@ -321,6 +415,15 @@ def test_precedes_matches_the_subset_scan(density, pairs, positive):
     assert (seen, held) == (pairs, positive)
 
 
+def assert_added_point_shape(p, q, alpha):
+    """``q`` extends ``p`` by ``alpha`` in the shape ``Condition.__init__``
+    gives, with ``p``'s entries first and the new ones after, in domain order."""
+    assert type(q) is Condition and oracle_normal_form(q)
+    assert q.key() == Condition(q.a, q.h, q.i).key()
+    assert list(q.h) == [*p.h, alpha]
+    assert list(q.i) == [*p.i, *((min(x, alpha), max(x, alpha)) for x in p.a)]
+
+
 class TestExtendWithPoint:
     def test_from_empty(self):
         assert extend_with_point(Condition.empty(), 0) == Condition.single(0)
@@ -351,6 +454,7 @@ class TestExtendWithPoint:
         assert validate_condition(f, q).ok
         assert not oracle_validate(f, q)
         assert leq(q, p)
+        assert_added_point_shape(p, q, alpha)
 
 
 class TestExtendIntoNeighbourhood:
@@ -375,6 +479,7 @@ class TestExtendIntoNeighbourhood:
             alpha = rng.choice(fresh)
             q = extend_into_neighbourhood(p, beta, set(), alpha)
             assert alpha in q.h[beta]
+            assert_added_point_shape(p, q, alpha)
 
     def test_precondition_errors(self):
         p = cond([1, 3], {1: {1}, 3: {1, 3}}, {(1, 3): set()})

@@ -74,6 +74,8 @@ class TestHarnessContract:
         assert set(doc) == {"command", "inputs", "outcome", "witnesses", "seed", "notes"}
         assert doc["seed"] == 1
         assert doc["command"] == "props:insertion"
+        # A shallow view: the report's own objects, not deep copies of them.
+        assert all(doc[name] is getattr(rep, name) for name in doc)
 
 
 class TestArguments:
