@@ -244,8 +244,15 @@ def cmd_props(args) -> Outcome:
         inputs=inputs,
     )
     return report.as_dict(), report.ok
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a bad flag is bad input, reported by main like any other
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scatterlab",
         description="Finite conditions, their amalgamations, and the induced topology.",
     )
@@ -323,8 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: print its report unless ``--quiet``, and exit 0 when
     its checks pass, 1 when they or the construction fail, 2 on bad input."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if [] in vars(args).values():  # argparse turns the value of "--flag=--" into []
+            raise ParseError("a flag's value cannot be '--'")
         report, ok = args.fn(args)
     except (GoalUnsatisfiable, NotGoodTwins, StuckNoFreshPoint) as exc:
         print(f"failure: {exc}", file=sys.stderr)

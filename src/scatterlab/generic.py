@@ -7,8 +7,9 @@ family ``H`` (one right-separating neighbourhood set per carrier ordinal,
 ``max H(alpha) = alpha``) together with the covering index inherited from
 the final condition.  The topology is the one generated by the sets ``H``
 and their complements as a subbase; on a finite carrier every point has a
-minimal open neighbourhood, which makes closure, free sequences and the
-isolated-point hierarchy directly computable.
+minimal open neighbourhood: the points in the same sets ``H``, that is with
+the same signature (the bit mask of the sets ``H`` holding a point).  Closure,
+free sequences and the isolated-point hierarchy are computed from signatures.
 
 The convergence poset at a point ``alpha`` relative to a countable-stand-in
 set ``A`` consists of pairs ``(s, C)``; stronger conditions grow both parts
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -222,48 +224,60 @@ def is_coherent(space: SpaceModel) -> bool:
     return True
 
 
-def minimal_nbhd(space: SpaceModel, x: int) -> frozenset[int]:
-    """Intersection of all subbase elements containing ``x`` (each ``H`` set
-    or its complement); open and minimal on a finite carrier."""
-    out = set(space.carrier)
+def _signatures(space: SpaceModel) -> dict[int, int]:
+    """Each carrier point, in carrier order, with its signature: the mask of
+    the ``gamma`` whose ``H(gamma)`` holds it.  The minimal neighbourhood of
+    ``x`` is cut from each ``H(gamma)`` holding ``x`` and each complement of
+    one that does not, so it holds ``y`` exactly when ``y`` has ``x``'s
+    signature: the minimal neighbourhoods are the classes of equal signature."""
+    sig = dict.fromkeys(space.carrier, 0)
     for gamma in space.carrier:
-        if x in space.H[gamma]:
-            out &= space.H[gamma]
-        else:
-            out -= space.H[gamma]
-    return frozenset(out)
+        for y in space.H[gamma] & sig.keys():
+            sig[y] |= 1 << gamma
+    return sig
+
+
+def minimal_nbhd(space: SpaceModel, x: int) -> frozenset[int]:
+    """Intersection of the subbase elements (``H`` sets and complements) that
+    hold ``x``: the carrier points with ``x``'s signature (:func:`_signatures`)."""
+    mask = sum(1 << gamma for gamma in space.carrier if x in space.H[gamma])
+    return frozenset(y for y, s in _signatures(space).items() if s == mask)
 
 
 def closure(space: SpaceModel, Y: Iterable[int]) -> frozenset[int]:
-    """Points whose minimal open neighbourhood meets ``Y``."""
+    """Points whose minimal open neighbourhood meets ``Y``: those sharing a
+    signature with a point of ``Y`` (:func:`_signatures`)."""
     ys = frozenset(Y)
-    if any(y not in space.carrier for y in ys):
+    sig = _signatures(space)
+    if any(y not in sig for y in ys):
         raise BadArgument(f"set {sorted(ys)} leaves the carrier {space.kappa}")
-    return frozenset(x for x in space.carrier if minimal_nbhd(space, x) & ys)
+    wanted = {sig[y] for y in ys}
+    return frozenset(x for x, s in sig.items() if s in wanted)
 
 
 def is_free_sequence(space: SpaceModel, seq: Sequence[int]) -> bool:
-    """Every cut separates the closures of initial segment and tail."""
+    """Every cut separates the closures of initial segment and tail, which
+    holds exactly when no two points of ``seq`` share a signature."""
     if len(set(seq)) != len(seq):
         raise BadArgument(f"sequence repeats points: {list(seq)}")
-    for k in range(len(seq) + 1):
-        if closure(space, seq[:k]) & closure(space, seq[k:]):
-            return False
-    return True
+    sig = _signatures(space)
+    if any(y not in sig for y in seq):
+        raise BadArgument(f"set {sorted(seq)} leaves the carrier {space.kappa}")
+    return len({sig[y] for y in seq}) == len(seq)
 
 
 def cantor_bendixson(space: SpaceModel) -> dict[int, int]:
     """Rank of each point in the iterated isolated-point hierarchy; the points
     of a perfect kernel, where the derivative stabilizes, get no rank.
 
-    On a finite carrier the hierarchy stops after stage 0.  ``y`` lies in
-    ``minimal_nbhd(space, x)`` exactly when ``x`` and ``y`` lie in the same
-    sets ``H``, so the minimal neighbourhoods are the classes of that
-    equivalence and partition the carrier.  Stage 0 removes the singleton
-    classes.  Every point left lies in a class of two or more points, all of
-    which remain, so none is isolated and the derivative is stable.
+    On a finite carrier the hierarchy stops after stage 0, which removes the
+    singleton classes of equal signature (:func:`_signatures`): every point
+    left shares its minimal neighbourhood with another that remains, so none
+    is isolated and the derivative is stable.
     """
-    return {x: 0 for x in space.carrier if minimal_nbhd(space, x) == {x}}
+    sig = _signatures(space)
+    count = Counter(sig.values())
+    return {x: 0 for x, s in sig.items() if count[s] == 1}
 
 
 @dataclass(frozen=True)
@@ -282,9 +296,9 @@ def _check_ambient(space: SpaceModel, alpha: int, *conds: FUCondition) -> None:
     if alpha not in space.carrier:
         raise BadArgument(f"alpha={alpha} outside carrier {space.kappa}")
     for q in conds:
-        if any(c >= alpha or c < 0 for c in q.C):
+        if q.C and (min(q.C) < 0 or max(q.C) >= alpha):
             raise BadArgument(f"C={sorted(q.C)} not below alpha={alpha}")
-        if any(x not in space.carrier for x in q.s):
+        if q.s and (min(q.s) < 0 or max(q.s) >= space.kappa):
             raise BadArgument(f"s={sorted(q.s)} leaves the carrier")
 
 

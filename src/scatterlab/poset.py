@@ -25,6 +25,8 @@ from typing import Iterable, Mapping
 from .errors import BadArgument, EqualSup
 from .universe import PairFunction, pair
 
+_EMPTY: frozenset[int] = frozenset()  # every new ``i`` value: CPython keeps no empty-frozenset singleton
+
 
 def star(x: Iterable[int], y: Iterable[int]) -> frozenset[int]:
     """Asymmetric set combinator.
@@ -301,7 +303,7 @@ def _add_point(p: Condition, alpha: int, hosts: Iterable[int]) -> Condition:
         h[nu] = h[nu] | {alpha}
     h[alpha] = frozenset((alpha,))
     i = dict(p.i)
-    i.update((pair(alpha, xi), frozenset()) for xi in p.a)
+    i.update((pair(alpha, xi), _EMPTY) for xi in p.a)
     return Condition._from_parts(tuple(sorted(p.a + (alpha,))), h, i)
 
 

@@ -84,10 +84,10 @@ class PairFunction:
         return PairFunction(self.kappa, values)
 
     def check_members(self, *sets: Iterable[int]) -> None:
-        for s in sets:
-            for x in s:
-                if x < 0 or x >= self.kappa:
-                    raise BadArgument(f"ordinal {x} outside carrier of size {self.kappa}")
+        members = set().union(*sets)
+        if members and (min(members) < 0 or max(members) >= self.kappa):
+            x = next(x for s in sets for x in s if x < 0 or x >= self.kappa)
+            raise BadArgument(f"ordinal {x} outside carrier of size {self.kappa}")
 
 
 def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
@@ -172,23 +172,26 @@ def pair_closure(f: PairFunction, base: Iterable[int], partners: Iterable[int]) 
     """Least set containing ``base`` that is closed under taking ``f``-values
     against itself and against ``partners``.
 
-    Rounds scan ordinals in ascending order; a round that adds nothing stops
-    the iteration.  Values of ``f`` sit below both arguments, so the maximum
+    Rounds are semi-naive: after the first, a round scans only the pairs with
+    an end among the points the round before added.  A round that adds
+    nothing stops; values of ``f`` sit below both arguments, so the maximum
     never grows.
     """
-    cur = frozenset(base)
-    side = frozenset(partners)
+    cur, side = frozenset(base), frozenset(partners)
     f.check_members(cur, side)
-    rounds = 0
+    fv = f.values
+    new, rounds = cur, 0
     while True:
+        pool = cur | side
         added: set[int] = set()
-        for xi in sorted(cur):
-            for eta in sorted(cur | side):
-                if xi != eta:
-                    added.update(f.value(xi, eta) - cur)
+        for x in new:
+            for y in pool:
+                if x != y:
+                    added |= fv[(x, y) if x < y else (y, x)]
+        added -= cur
         if not added:
             return ClosureResult(cur, rounds)
-        cur |= added
+        cur, new = cur | added, added
         rounds += 1
 
 

@@ -284,10 +284,13 @@ def oracle_leq(p, q) -> bool:
     return all(p.i[k] == q.i[k] for k in q.i)
 
 
-def oracle_pair_closure(f, base, partners) -> frozenset:
-    """From-scratch fixed point: rebuild the whole union every round."""
+def oracle_pair_closure_rounds(f, base, partners) -> tuple[frozenset, int]:
+    """From-scratch fixed point and its number of growing rounds: every round
+    rebuilds the whole union, rescanning every pair of the current set and of
+    the set against the partners."""
     cur = frozenset(base)
     side = frozenset(partners)
+    rounds = 0
     while True:
         nxt = set(cur)
         for xi in cur:
@@ -295,27 +298,36 @@ def oracle_pair_closure(f, base, partners) -> frozenset:
                 if xi != eta:
                     nxt |= f.value(xi, eta)
         if frozenset(nxt) == cur:
-            return cur
+            return cur, rounds
         cur = frozenset(nxt)
+        rounds += 1
+
+
+def oracle_pair_closure(f, base, partners) -> frozenset:
+    return oracle_pair_closure_rounds(f, base, partners)[0]
 
 
 def oracle_minimal_nbhd(space, x) -> frozenset:
-    """Intersect the listed subbase elements containing x."""
-    subbase = []
-    carrier = frozenset(range(space.kappa))
+    """Intersect the subbase elements containing x, cut to the carrier: for
+    each gamma, H(gamma) when it holds x, else its complement among all
+    ordinals, so that a point x outside the carrier is served too."""
+    out = frozenset(range(space.kappa))
     for gamma in range(space.kappa):
-        subbase.append(space.H[gamma])
-        subbase.append(carrier - space.H[gamma])
-    out = carrier
-    for s in subbase:
-        if x in s:
-            out = out & s
+        if x in space.H[gamma]:
+            out = out & space.H[gamma]
+        else:
+            out = out - space.H[gamma]
     return out
 
 
 def oracle_closure(space, Y) -> frozenset:
     ys = frozenset(Y)
     return frozenset(x for x in range(space.kappa) if oracle_minimal_nbhd(space, x) & ys)
+
+
+def oracle_is_free_sequence(space, seq) -> bool:
+    """Cut by cut: the closures of initial segment and tail are disjoint."""
+    return all(not oracle_closure(space, seq[:k]) & oracle_closure(space, seq[k:]) for k in range(len(seq) + 1))
 
 
 def oracle_cantor_bendixson(space) -> dict:

@@ -155,6 +155,30 @@ class TestCloseAndLowerBound:
         assert doc["closure"] == [1, 2, 4]
         assert doc["iterations"] == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--base", "-1,2"], "error: argument --base: expected one argument"),
+            ([], "error: the following arguments are required: --base"),
+            (["--base", "1", "--bogus"], "error: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_flag_errors_print_one_error_line(self, tmp_path, capsys, flags, message):
+        f = write(tmp_path, "f.json", {"kappa": 6, "f": []})
+        assert main(["close", "--f", f, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+
+    def test_double_dash_value_prints_one_error_line(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"kappa": 6, "f": []})
+        assert main(["close", "--f", f, "--base", "1", "--partners=--"]) == 2
+        assert capsys.readouterr().err == "error: a flag's value cannot be '--'\n"
+
+    def test_negative_base_written_with_equals_is_an_ordinal_fault(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"kappa": 6, "f": []})
+        assert main(["close", "--f", f, "--base=-1,2"]) == 2
+        assert capsys.readouterr().err == "error: ordinal -1 outside carrier of size 6\n"
+
     def test_lower_bound_found(self, tmp_path, capsys):
         f = write(tmp_path, "f.json", {"kappa": 7, "f": [[3, 4, [0]], [4, 5, [0]]]})
         code, out = run_main(
@@ -443,6 +467,13 @@ def test_check_space_reports_a_max_invariant_violation(H, i, unsettled, tmp_path
     doc = json.loads(captured.out)
     assert doc["max_invariant_violations"] == unsettled
     assert doc["star_containment"] is True
+
+
+def test_fu_sim_alpha_that_is_not_an_integer_prints_one_error_line(tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"kappa": 3, "H": [[0, [0]], [1, [1]], [2, [2]]], "i": []})
+    assert main(["fu-sim", "--space", space, "--A", "0,1", "--alpha", "x"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: argument --alpha: invalid int value: 'x'\n")
 
 
 def test_fu_sim_refuses_a_space_that_breaks_the_max_invariant(tmp_path, capsys):

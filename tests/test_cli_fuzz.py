@@ -1,12 +1,14 @@
-"""The CLI input contract under generated input files.
+"""The CLI input contract under generated input files and flags.
 
-Each file that ``validate``, ``check-space`` or ``sample-space`` reads starts
-as a valid document from the package's own seeded generators and then takes
-up to two mutations: a value replaced by a small integer, a list or a value
-of the wrong type, an entry deleted or inserted, a key added; now and then
-the text is also cut short.  Whatever the files, ``main`` returns 0, 1 or 2,
-never raises, and an exit of 2 comes with exactly one ``error:`` line on
-stderr.
+Each file that ``validate``, ``check-space``, ``sample-space``, ``close`` or
+``fu-sim`` reads starts as a valid document from the package's own seeded
+generators and then takes up to two mutations: a value replaced by a small
+integer, a list or a value of the wrong type, an entry deleted or inserted, a
+key added; now and then the text is also cut short.  The ordinal flags of
+``close`` and ``fu-sim`` take generated values: ordinals that are negative,
+in the carrier or at or above it, and text that is not an integer list.
+Whatever the input, ``main`` returns 0, 1 or 2, never raises, and an exit of
+2 comes with exactly one ``error:`` line on stderr.
 """
 
 import contextlib
@@ -75,7 +77,9 @@ def input_files(draw, command):
     if command == "validate":
         size = rng.randint(0, kappa)
         texts = {"f": formats.dump_pair_function(f), "cond": formats.dump_condition(random_condition(f, rng, size))}
-    elif command == "check-space":
+    elif command == "close":
+        texts = {"f": formats.dump_pair_function(f)}
+    elif command in ("check-space", "fu-sim"):
         texts = {"space": formats.dump_space(random_space(f, seed, 3)[0])}
     else:
         schedule = space_schedule(f, rng, kappa, 3)
@@ -83,10 +87,34 @@ def input_files(draw, command):
     return {flag: draw(near_text(text)) for flag, text in texts.items()}
 
 
-def run(tmp_path, command, files):
+ORDINAL = st.integers(-3, 11)  # negative, in a carrier of 1 to 8 ordinals, or at or above it
+JUNK = st.sampled_from(["", " ", "x", "1.5", "1,,2", "2,", ",", "-", "--", "3|", "|", "0x1", "1e2", "\u0661"])
+ORDINALS = st.one_of(st.lists(ORDINAL, max_size=4).map(lambda xs: ",".join(map(str, xs))), JUNK)
+FLAGS = {
+    "close": {"base": ORDINALS, "partners": ORDINALS},
+    "fu-sim": {
+        "A": ORDINALS,
+        "alpha": st.one_of(ORDINAL.map(str), JUNK),
+        "blocks": st.one_of(st.lists(ORDINALS, max_size=3).map("|".join), JUNK),
+    },
+}
+
+
+@st.composite
+def flag_args(draw, command):
+    """Each ordinal flag of ``command`` with a generated value, written as
+    ``--flag=value`` or as two arguments."""
+    args = []
+    for flag, values in FLAGS.get(command, {}).items():
+        value = draw(values)
+        args += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+    return args
+
+
+def run(tmp_path, command, files, flags=()):
     """``main`` on ``command`` with each ``--flag`` reading its text from a
-    file; the exit code and the stderr lines."""
-    args = [command]
+    file, plus ``flags``; the exit code and the stderr lines."""
+    args = [command, *flags]
     for flag, text in files.items():
         path = tmp_path / f"{flag}.json"
         path.write_text(text)
@@ -100,11 +128,11 @@ def run(tmp_path, command, files):
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.mark.parametrize("command", ["validate", "check-space", "sample-space"])
+@pytest.mark.parametrize("command", ["validate", "check-space", "sample-space", "close", "fu-sim"])
 @FUZZ
 @given(data=st.data())
 def test_generated_files_keep_the_input_contract(tmp_path, command, data):
-    code, err_lines = run(tmp_path, command, data.draw(input_files(command)))
+    code, err_lines = run(tmp_path, command, data.draw(input_files(command)), data.draw(flag_args(command)))
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines

@@ -29,7 +29,7 @@ from scatterlab.poset import Condition, leq
 from scatterlab.sampling import random_space
 from scatterlab.universe import random_pair_function
 
-from oracles import oracle_cantor_bendixson, oracle_closure, oracle_minimal_nbhd
+from oracles import oracle_cantor_bendixson, oracle_closure, oracle_is_free_sequence, oracle_minimal_nbhd
 
 
 def toy_space(h_map, kappa=None):
@@ -247,6 +247,67 @@ class TestClosure:
             closure(nested_space(3), {5})
 
 
+def wild_space(rng, kappa):
+    """A family whose ``H`` values also hold points outside the carrier,
+    negative ones and ones at or above ``kappa``."""
+    return SpaceModel(kappa, {a: frozenset(rng.sample(range(-3, kappa + 3), rng.randint(0, 6))) for a in range(kappa)}, {})
+
+
+def assert_topology_matches_oracles(space, rng, queries):
+    """``minimal_nbhd`` at every carrier point, ``cantor_bendixson`` (keys in
+    carrier order), and ``closure`` and ``is_free_sequence`` on random
+    queries, each against its oracle."""
+    for x in space.carrier:
+        assert minimal_nbhd(space, x) == oracle_minimal_nbhd(space, x)
+    ranks = cantor_bendixson(space)
+    assert ranks == oracle_cantor_bendixson(space)
+    assert list(ranks) == sorted(ranks)
+    for _ in range(queries):
+        ys = frozenset(rng.sample(range(space.kappa), rng.randint(0, min(space.kappa, 8))))
+        assert closure(space, ys) == oracle_closure(space, ys)
+        seq = rng.sample(range(space.kappa), rng.randint(0, min(space.kappa, 6)))
+        assert is_free_sequence(space, seq) == oracle_is_free_sequence(space, seq)
+
+
+class TestTopologyAgainstOracles:
+    def test_sampled_k64_spaces(self):
+        rng = random.Random(64)
+        for seed in range(2):
+            space, _, _ = random_space(random_pair_function(64, 0.5, seed), seed, nbhd_goals=40)
+            assert_topology_matches_oracles(space, rng, 10)
+
+    def test_arbitrary_k64_families(self):
+        rng = random.Random(65)
+        for _ in range(3):
+            h = {a: frozenset(rng.sample(range(64), rng.randint(0, 12))) for a in range(64)}
+            assert_topology_matches_oracles(SpaceModel(64, h, {}), rng, 10)
+
+    def test_members_outside_the_carrier(self):
+        rng = random.Random(66)
+        for _ in range(60):
+            space = wild_space(rng, rng.randint(1, 8))
+            assert_topology_matches_oracles(space, rng, 4)
+            for x in (-3, -1, space.kappa, space.kappa + 2):
+                assert minimal_nbhd(space, x) == oracle_minimal_nbhd(space, x)
+
+    def test_minimal_nbhd_outside_the_carrier(self):
+        # 5 lies in H(1) only, so its neighbourhood is H(1) less H(0) and H(2);
+        # -1 lies in H(2) only, and 9 in no set, which leaves nothing
+        space = SpaceModel(3, {0: frozenset({0}), 1: frozenset({0, 1, 5}), 2: frozenset({2, -1})}, {})
+        assert minimal_nbhd(space, 5) == {1}
+        assert minimal_nbhd(space, -1) == {2}
+        assert minimal_nbhd(space, 9) == frozenset()
+
+    def test_messages_name_the_whole_sorted_set(self):
+        sp = nested_space(3)
+        with pytest.raises(BadArgument) as exc:
+            closure(sp, {5, 1, -1})
+        assert str(exc.value) == "set [-1, 1, 5] leaves the carrier 3"
+        with pytest.raises(BadArgument) as exc:
+            is_free_sequence(sp, [2, 7, -1])
+        assert str(exc.value) == "set [-1, 2, 7] leaves the carrier 3"
+
+
 class TestFreeSequence:
     def test_singleton(self):
         assert is_free_sequence(nested_space(4), [2])
@@ -376,6 +437,21 @@ class TestFUPoset:
     def test_ambient_checked(self):
         with pytest.raises(BadArgument, match=r"C=\[5\] not below alpha=5"):
             fu_leq(FUCondition.make(set(), {5}), FUCondition.make(), FU_SPACE, 5)
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (FUCondition.make({0}, {-1, 2, 7}), "C=[-1, 2, 7] not below alpha=5"),
+            (FUCondition.make({9, 0, 6}, {1}), "s=[0, 6, 9] leaves the carrier"),
+            (FUCondition.make({-2, 3}), "s=[-2, 3] leaves the carrier"),
+        ],
+    )
+    def test_ambient_messages_name_the_whole_sorted_set(self, q, message):
+        for check in (fu_leq, fu_meet):
+            for pair in ((q, FUCondition.make()), (FUCondition.make(), q)):
+                with pytest.raises(BadArgument) as exc:
+                    check(*pair, FU_SPACE, 5)
+                assert str(exc.value) == message
 
     def test_meet_is_glb_small_exhaustive(self):
         a_pool, c_pool = (0, 1, 2), (1, 2)

@@ -18,7 +18,8 @@ from scatterlab.poset import (
     star,
     validate_condition,
 )
-from scatterlab.sampling import iter_conditions, random_condition
+from scatterlab.generic import NbhdGoal
+from scatterlab.sampling import iter_conditions, random_condition, random_space
 from scatterlab.suites import _POSET_CAP_PER_DOMAIN, _POSET_DOMAIN, derive_seed
 from scatterlab.universe import PairFunction, random_pair_function
 
@@ -455,6 +456,18 @@ class TestExtendWithPoint:
         assert not oracle_validate(f, q)
         assert leq(q, p)
         assert_added_point_shape(p, q, alpha)
+
+
+def test_extension_chain_shares_one_empty_i_value():
+    """Every ``i`` value an extension adds is the same empty frozenset object,
+    so a long chain holds one empty set rather than one per new pair."""
+    f = random_pair_function(24, 0.5, 3)
+    space, sample, goals = random_space(f, 5, nbhd_goals=8)
+    assert any(isinstance(g, NbhdGoal) for g in goals)
+    chain = sample.chain
+    fresh = [v for p, q in zip(chain, chain[1:]) for key, v in q.i.items() if key not in p.i]
+    assert len(fresh) == 24 * 23 // 2
+    assert fresh[0] == frozenset() and all(v is fresh[0] for v in fresh)
 
 
 class TestExtendIntoNeighbourhood:

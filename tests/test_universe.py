@@ -14,7 +14,13 @@ from scatterlab.universe import (
     search_common_lower_bound,
 )
 
-from oracles import oracle_good_pair, oracle_good_pair_clauses, oracle_pair_closure, oracle_pair_function
+from oracles import (
+    oracle_good_pair,
+    oracle_good_pair_clauses,
+    oracle_pair_closure,
+    oracle_pair_closure_rounds,
+    oracle_pair_function,
+)
 
 
 def small_f(kappa=5, density=0.5, seed=0):
@@ -260,3 +266,67 @@ class TestSearchCommonLowerBound:
     def test_bound_must_lie_below(self):
         with pytest.raises(BadArgument, match=r"max\(bound\)=3 not below group 0 \(min 2\)"):
             search_common_lower_bound(small_f(), [{2}, {4}], {3}, 1)
+
+
+class TestRoundCount:
+    """The semi-naive rounds add what a full rescan of every pair adds, so the
+    closure and its number of growing rounds match the rescanning oracle."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_every_k5_query(self, density):
+        f = random_pair_function(5, density, 5)
+        subsets = [frozenset(c) for r in range(6) for c in combinations(range(5), r)]
+        for base in subsets:
+            for partners in subsets:
+                res = pair_closure(f, base, partners)
+                assert (res.closure, res.iterations) == oracle_pair_closure_rounds(f, base, partners)
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+    def test_random_k64_queries(self, density):
+        f = random_pair_function(64, density, 64)
+        rng = random.Random(f"rounds-{density}")
+        for _ in range(200):
+            base = frozenset(rng.sample(range(64), rng.randint(0, 4)))
+            partners = frozenset(rng.sample(range(64), rng.randint(0, 4)))
+            res = pair_closure(f, base, partners)
+            assert (res.closure, res.iterations) == oracle_pair_closure_rounds(f, base, partners)
+
+
+MEMBER = st.integers(-3, 11)  # negatives, kappa itself and beyond, for every kappa drawn below
+
+
+def first_outside(kappa, sets):
+    """The member a plain scan, set by set in argument order, meets first
+    outside ``0..kappa-1``; None when there is none."""
+    for s in sets:
+        for x in s:
+            if x < 0 or x >= kappa:
+                return x
+    return None
+
+
+class TestCheckMembers:
+    def test_several_members_out_of_range(self):
+        f = small_f(kappa=4)
+        sets = (frozenset({1, 2}), (4, -1, 9), frozenset({-2, 4}), [])
+        with pytest.raises(BadArgument) as exc:
+            f.check_members(*sets)
+        assert str(exc.value) == "ordinal 4 outside carrier of size 4"
+        with pytest.raises(BadArgument, match=r"^ordinal -3 outside carrier of size 4$"):
+            f.check_members((0, 3), (-3, 4, 7))
+
+    def test_in_range_and_empty_pass(self):
+        small_f(kappa=4).check_members((0, 3), frozenset(), frozenset({1, 2}))
+        small_f(kappa=4).check_members()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.lists(st.one_of(st.frozensets(MEMBER), st.lists(MEMBER).map(tuple)), max_size=4))
+    def test_message_names_what_the_plain_scan_meets_first(self, kappa, sets):
+        f = random_pair_function(kappa, 0.5, kappa)
+        bad = first_outside(kappa, sets)
+        if bad is None:
+            f.check_members(*sets)
+        else:
+            with pytest.raises(BadArgument) as exc:
+                f.check_members(*sets)
+            assert str(exc.value) == f"ordinal {bad} outside carrier of size {kappa}"
