@@ -5,15 +5,16 @@ every unordered pair ``{a, b}`` of distinct carrier ordinals a finite set
 ``f{a,b}`` of ordinals strictly below ``min(a, b)``.  On top of it live the
 good-pair clauses (what they demand of ``f``, and which of them fail), the
 closure operator ``pair_closure`` and the group-intersection search
-``search_common_lower_bound``.
+``search_common_lower_bound``.  Drawn values are built on first read.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BadArgument
@@ -60,11 +61,12 @@ class PairFunction:
     ``values`` holds an entry for every pair ``(a, b)`` with ``a < b < kappa``;
     each value is a subset of ``{0, ..., a-1}``.  :meth:`build` validates every
     entry, :meth:`updated` only its overrides; :func:`random_pair_function`
-    draws values valid by construction and validates none.
+    draws values valid by construction, validates none and builds each on its
+    first read.  Whole-map reads (``==``, iteration, views, pickling) see all.
     """
 
     kappa: int
-    values: Mapping[tuple[int, int], frozenset[int]]
+    values: dict[tuple[int, int], frozenset[int]]
 
     @staticmethod
     def build(kappa: int, entries: Mapping[tuple[int, int], Iterable[int]] | None = None) -> "PairFunction":
@@ -79,7 +81,7 @@ class PairFunction:
 
     def updated(self, overrides: Mapping[tuple[int, int], Iterable[int]]) -> "PairFunction":
         """A copy with the given pairs replaced; unchanged values are shared."""
-        values = dict(self.values)
+        values = self.values.copy()
         values.update(_checked_entry(self.kappa, key, val) for key, val in overrides.items())
         return PairFunction(self.kappa, values)
 
@@ -90,17 +92,60 @@ class PairFunction:
             raise BadArgument(f"ordinal {x} outside carrier of size {self.kappa}")
 
 
+class _DrawnValues(dict):
+    """Drawn pair values, each built on its first read from ``verdicts``, one
+    byte per draw.  Keys other than int pairs ``0 <= a < b < kappa`` raise ``KeyError``."""
+
+    def __init__(self, kappa: int, verdicts: Optional[bytes], read: Iterable = ()):
+        super().__init__(read)
+        self.kappa, self.verdicts = kappa, verdicts  # None once whole: all values built, in (a, b) order
+
+    def __missing__(self, key):
+        a, b = key if type(key) is tuple and len(key) == 2 else (0, 0)
+        if not (type(a) is int and type(b) is int and 0 <= a < b < self.kappa):
+            raise KeyError(key)
+        start = a * (a - 1) * (3 * self.kappa - 2 * a - 2) // 6 + (b - a - 1) * a  # draws of earlier pairs
+        return self.setdefault(key, frozenset(compress(range(a), self.verdicts[start:start + a])))
+
+    def whole(self) -> "_DrawnValues":
+        if self.verdicts is not None:
+            full = {key: self[key] for key in combinations(range(self.kappa), 2)}
+            dict.clear(self)
+            self.__init__(self.kappa, None, full)
+        return self
+
+    def copy(self) -> "_DrawnValues":  # shares the verdicts: unread values stay unbuilt
+        return _DrawnValues(self.kappa, self.verdicts, dict.items(self))
+
+    def _whole_read(method):  # each whole-map read first makes every drawn argument whole
+        return lambda *args: method(*(m.whole() if isinstance(m, _DrawnValues) else m for m in args))
+
+    __eq__, __ne__, __len__, __iter__, __reversed__, __contains__, __repr__, get, keys, values, items = map(
+        _whole_read, (dict.__eq__, dict.__ne__, dict.__len__, dict.__iter__, dict.__reversed__,
+                      dict.__contains__, dict.__repr__, dict.get, dict.keys, dict.values, dict.items))
+
+
 def random_pair_function(kappa: int, density: float, seed: int) -> PairFunction:
     """Seed-deterministic pair function; each eligible ordinal enters with
-    probability ``density``, independently."""
+    probability ``density``, independently.
+
+    Pairs ``a < b`` go in lexicographic order, then ``g < a`` ascending, and ``g``
+    enters when ``random.Random(seed).random() < density``.  One ``getrandbits``
+    call yields the same words: draw ``j`` is ``w0, w1`` at bytes ``8j, 8j + 4``,
+    and ``random()`` is ``N / 2**53``, ``N = (w0 >> 5) << 26 | w1 >> 6``.  The top
+    byte of ``w0`` is ``N >> 45``: below ``floor(density * 256)`` it is a hit, above
+    a miss, and if equal the exact int-float test ``N < density * 2**53`` decides.
+    """
     check_kappa(kappa)
     check_density(density)
-    rng = random.Random(seed)
-    values: dict[tuple[int, int], frozenset[int]] = {}
-    for a in range(kappa):
-        for b in range(a + 1, kappa):
-            values[(a, b)] = frozenset(g for g in range(a) if rng.random() < density)
-    return PairFunction(kappa, values)
+    n = kappa * (kappa - 1) * (kappa - 2) // 6
+    raw = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+    table = (b"\1" * int(density * 256) + b"\2" + b"\0" * 255)[:256]  # top byte of w0 -> hit 1, miss 0, equal 2
+    verdicts = bytearray(raw[3::8].translate(table))
+    for j in [m.start() for m in re.finditer(b"\2", verdicts)]:
+        u = int.from_bytes(raw[8 * j:8 * j + 8], "little")  # w0 + w1 * 2**32
+        verdicts[j] = ((u & 0xFFFFFFFF) >> 5 << 26 | u >> 38) < density * 2**53
+    return PairFunction(kappa, _DrawnValues(kappa, bytes(verdicts)))
 
 
 def good_pair_demands(

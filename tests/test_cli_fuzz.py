@@ -7,8 +7,13 @@ integer, a list or a value of the wrong type, an entry deleted or inserted, a
 key added; now and then the text is also cut short.  The ordinal flags of
 ``close`` and ``fu-sim`` take generated values: ordinals that are negative,
 in the carrier or at or above it, and text that is not an integer list.
-Whatever the input, ``main`` returns 0, 1 or 2, never raises, and an exit of
-2 comes with exactly one ``error:`` line on stderr.
+``gen-f`` takes generated ``--kappa``, ``--density`` and ``--seed`` values:
+out-of-range and non-integer carrier sizes, densities that are NaN,
+infinite, negative zero, subnormal, just above 1 or not numbers, and seeds
+that are negative, beyond 64 bits or not integers.  Whatever the input,
+``main`` returns 0, 1 or 2, never raises, and an exit of 2 comes with exactly
+one ``error:`` line on stderr; an exit of 0 from ``gen-f`` prints the pair
+function that the reference draw gives.
 """
 
 import contextlib
@@ -22,7 +27,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scatterlab import formats
 from scatterlab.cli import main
 from scatterlab.sampling import random_condition, random_space, space_schedule
-from scatterlab.universe import random_pair_function
+from scatterlab.universe import PairFunction, random_pair_function
+
+from oracles import oracle_pair_function
 
 VALUE = st.one_of(
     st.integers(-2, 9),
@@ -97,6 +104,15 @@ FLAGS = {
         "alpha": st.one_of(ORDINAL.map(str), JUNK),
         "blocks": st.one_of(st.lists(ORDINALS, max_size=3).map("|".join), JUNK),
     },
+    "gen-f": {
+        "kappa": st.one_of(st.integers(-2, 12), st.integers(-2, 70), JUNK).map(str),
+        "density": st.one_of(
+            st.floats(0, 1).map(repr),
+            st.floats().map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e-310", "1.0000001", "1", "0", "x", ""]),
+        ),
+        "seed": st.one_of(st.integers(-(2**70), 2**70), JUNK).map(str),
+    },
 }
 
 
@@ -113,16 +129,16 @@ def flag_args(draw, command):
 
 def run(tmp_path, command, files, flags=()):
     """``main`` on ``command`` with each ``--flag`` reading its text from a
-    file, plus ``flags``; the exit code and the stderr lines."""
+    file, plus ``flags``; the exit code, the stderr lines and stdout."""
     args = [command, *flags]
     for flag, text in files.items():
         path = tmp_path / f"{flag}.json"
         path.write_text(text)
         args += [f"--{flag}", str(path)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    return code, err.getvalue().splitlines()
+    return code, err.getvalue().splitlines(), out.getvalue()
 
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -132,7 +148,24 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 @FUZZ
 @given(data=st.data())
 def test_generated_files_keep_the_input_contract(tmp_path, command, data):
-    code, err_lines = run(tmp_path, command, data.draw(input_files(command)), data.draw(flag_args(command)))
+    code, err_lines, _ = run(tmp_path, command, data.draw(input_files(command)), data.draw(flag_args(command)))
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_gen_f_keeps_the_input_contract_and_prints_the_reference_draw(tmp_path, data):
+    flags = data.draw(flag_args("gen-f"))
+    code, err_lines, out = run(tmp_path, "gen-f", {}, flags)
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+    else:
+        values, args = {}, iter(flags)
+        for arg in args:  # "--flag=value" or "--flag", "value"
+            flag, eq, value = arg.partition("=")
+            values[flag] = value if eq else next(args)
+        kappa, density, seed = int(values["--kappa"]), float(values["--density"]), int(values["--seed"])
+        assert out == formats.dump_pair_function(PairFunction.build(kappa, oracle_pair_function(kappa, density, seed)))

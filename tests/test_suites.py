@@ -68,6 +68,12 @@ class TestHarnessContract:
         assert len(serial.witnesses) == sum(v["fail"] for v in serial.outcome.values())
         assert all({"property", "trial"} <= set(w) for w in serial.witnesses)
 
+    @pytest.mark.parametrize("name", ["twins-amalgam", "insertion"])
+    def test_kappa_64_reports_do_not_depend_on_jobs(self, name):
+        # Each trial draws a kappa-64 pair function and reads only some of its values.
+        serial = formats.to_text(run_suite(name, trials=4, seed=3, kappa=64).as_dict())
+        assert formats.to_text(run_suite(name, trials=4, seed=3, kappa=64, jobs=2).as_dict()) == serial
+
     def test_report_shape(self):
         rep = run_suite("insertion", trials=5, seed=1)
         doc = rep.as_dict()

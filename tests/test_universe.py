@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -68,12 +70,37 @@ class TestPairFunction:
         with pytest.raises(BadArgument, match=r"pair \(2,5\) lies outside the carrier 0..2"):
             PairFunction.build(3, {(2, 5): set()})
 
-    @pytest.mark.parametrize("kappa", [1, 2, 5, 17, 64])
-    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kappa", [1, 2, 5, 17, 64, 3, 4, 6, 7, 8, 9, 10, 16, 33, 63])
+    @pytest.mark.parametrize(
+        "density",
+        # 0.25 and 0.5 sit on a top-byte boundary; 1/256 - 2**-60 lies just below one.
+        [0.0, 0.3, 1.0, 5e-324, 2**-53, 0.1, 0.25, 0.5, 0.7, 1 - 2**-53, 1 / 256 - 2**-60],
+    )
     def test_draw_order_matches_oracle(self, kappa, density):
         for seed in (0, 7, 2**31 + 5):
             f = random_pair_function(kappa, density, seed)
-            assert list(f.values.items()) == list(oracle_pair_function(kappa, density, seed).items())
+            expected = oracle_pair_function(kappa, density, seed)
+            keys = list(expected)
+            random.Random(seed).shuffle(keys)
+            for key in keys[: len(keys) // 2 + 1]:  # values built in a shuffled order first
+                assert f.value(*reversed(key)) == f.values[key] == expected[key]
+            assert list(f.values.items()) == list(expected.items())
+            for key in [(b, a) for a, b in keys[:3]] + [(a, a) for a in range(min(kappa, 3))] + [(0, kappa), (-1, 0)]:
+                with pytest.raises(KeyError):
+                    f.values[key]
+
+    def test_random_is_the_two_word_formula_on_getrandbits(self):
+        # random_pair_function reads every draw of one getrandbits call; this is
+        # the CPython identity that makes those draws the ones random() makes.
+        for seed in range(1000):
+            words = random.Random(seed).getrandbits(3 * 64)
+            rng = random.Random(seed)
+            for j in range(3):
+                w0, w1 = (words >> 64 * j) & 0xFFFFFFFF, (words >> (64 * j + 32)) & 0xFFFFFFFF
+                assert rng.random() == ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, (
+                    f"random.Random({seed}).random() is no longer ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 "
+                    "of the next two getrandbits words, so random_pair_function no longer draws its stream"
+                )
 
 
 class TestUpdated:
@@ -118,6 +145,84 @@ class TestUpdated:
             assert g == PairFunction.build(kappa, merged)
             assert list(g.values) == list(f.values)
             assert f.values == before
+
+
+def partly_read(kappa=9, density=0.5, seed=4):
+    """A drawn pair function with a shuffled third of its values read, and the
+    oracle's values."""
+    f, expected = random_pair_function(kappa, density, seed), oracle_pair_function(kappa, density, seed)
+    keys = list(expected)
+    random.Random(seed).shuffle(keys)
+    for key in keys[: len(keys) // 3]:
+        assert f.values[key] == expected[key]
+    assert 0 < dict.__len__(f.values) < len(expected)
+    return f, expected
+
+
+class TestDrawnValues:
+    """Whole-map reads of a drawn function see every value, in ``(a, b)`` order."""
+
+    def test_equality_both_ways(self):
+        def fresh(seed=4):
+            return partly_read(seed=seed)[0]
+
+        expected = oracle_pair_function(9, 0.5, 4)
+        for plain in (expected, dict(reversed(expected.items()))):  # dict equality ignores order
+            assert fresh().values == plain and plain == fresh().values
+            assert not fresh().values != plain and not plain != fresh().values
+        built = PairFunction.build(9, expected)
+        assert fresh() == built and built == fresh()
+        assert fresh() == fresh() and not fresh() != fresh()
+        assert fresh() != fresh(5) and oracle_pair_function(9, 0.5, 5) != fresh().values
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda v: len(v),
+            lambda v: list(v),
+            lambda v: list(reversed(v)),
+            lambda v: list(v.keys()),
+            lambda v: list(v.values()),
+            lambda v: list(v.items()),
+            lambda v: dict(v),
+            lambda v: {**v},
+            lambda v: repr(v),
+            lambda v: [key in v for key in combinations(range(10), 2)],
+            lambda v: [v.get(key, "none") for key in combinations(range(10), 2)],
+            lambda v: dict(v.copy()),
+            lambda v: pickle.loads(pickle.dumps(v)),
+            lambda v: copy.deepcopy(v),
+        ],
+        ids=["len", "iter", "reversed", "keys", "values", "items", "dict", "unpack", "repr", "in", "get", "copy",
+             "pickle", "deepcopy"],
+    )
+    def test_whole_map_reads_match_a_plain_dict(self, read):
+        f, expected = partly_read()
+        got, want = read(f.values), read(expected)
+        assert got == want
+        if isinstance(want, dict):
+            assert list(got.items()) == list(want.items())
+
+    def test_pickle_and_deepcopy_round_trip_the_function(self):
+        for clone in (lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy):
+            f, expected = partly_read()
+            g = clone(f)
+            assert g == f and list(g.values.items()) == list(expected.items())
+
+    def test_updated_of_a_partly_read_function(self):
+        f, expected = partly_read(kappa=12)
+        read_before = dict.__len__(f.values)
+        unread = [key for key in expected if not dict.__contains__(f.values, key)]
+        target = next(key for key in unread if key[0] > 0 and key != (3, 7))
+        g = f.updated({target: [0], (7, 3): {0, 2}})  # one unread pair, one given the other way round
+        assert dict.__len__(f.values) == read_before  # the parent built nothing
+        assert dict.__len__(g.values) == read_before + len({target, (3, 7)} - set(dict.keys(f.values)))  # nor g
+        assert g.values[target] == frozenset({0}) and g.value(3, 7) == frozenset({0, 2})
+        assert all(g.values[key] == expected[key] for key in unread if key not in (target, (3, 7)))
+        assert dict.__len__(f.values) == read_before
+        assert g == PairFunction.build(12, {**expected, target: {0}, (3, 7): {0, 2}})
+        assert list(g.values) == list(expected)
+        assert f.values == expected
 
 
 class TestGoodPair:
